@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from powerparts.bigcount import PartitionKind, count_partitions, log_integer
 from powerparts import diagnostics as dg
 from powerparts import saddle as sd
-from powerparts.family import fulcrum, fulcrum_derivative_at
+from powerparts.family import fulcrum
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -234,9 +234,9 @@ def main() -> None:
         theta_vals = [-3.0 + 6.0 * i / 19.0 for i in range(20)]
         worst = math.inf
         for s in s_vals:
-            ref = fulcrum_derivative_at(U, k, 3, complex(-s)).real
+            ref = fulcrum(U, k, complex(-s), m=3).real
             for th in theta_vals:
-                val = abs(fulcrum_derivative_at(U, k, 3, complex(-s, th)))
+                val = abs(fulcrum(U, k, complex(-s, th), m=3))
                 worst = min(worst, (ref - val) / ref)
         dom[str(k)] = {
             "s_range": [s_vals[0], s_vals[-1]],

@@ -139,7 +139,7 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -165,9 +165,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     m = mean(args.kind, args.k, s, args.eps)
     v = variance(args.kind, args.k, s, args.eps)
     thetas = args.theta_grid if args.theta_grid is not None else [0.0]
+    cfs = char_fn_normalized(args.kind, args.k, s, thetas, args.eps)
     lines = ["s,mean,variance,theta,cf_real,cf_imag"]
-    for theta in thetas:
-        cf = char_fn_normalized(args.kind, args.k, s, theta, args.eps)
+    for theta, cf in zip(thetas, cfs.tolist()):
         lines.append(",".join([_fmt(s), _fmt(m), _fmt(v), _fmt(theta),
                                _fmt(cf.real), _fmt(cf.imag)]))
     _emit("\n".join(lines) + "\n", args.output)

@@ -14,10 +14,11 @@ terms, so accumulation error is a single rounding.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .bigcount import CoeffTable, PartitionKind, log_integer
 SERIES_CAP = 100_000_000
 DERIVATIVE_ORDER_CAP = 8
 SAMPLE_TAIL_EPS = 1e-9
+_BLOCK = 1 << 15  # elements in one block of the points-by-parts outer product
+_FSUM_CHUNK = 4096  # floats converted at a time for math.fsum
+_CACHED_TERMS = 4096  # longer power arrays are rebuilt, not kept: cheap next to their sum
 
 _LN2 = math.log(2.0)
 
@@ -127,35 +131,12 @@ def _series_terms(k: int, s: float, eps: float, weight: int = 0,
         j = min(SERIES_CAP, max(j + 8, int(j * 1.3)))
 
 
+@lru_cache(maxsize=2)  # a quadrature at one s (two for the distinct kind) reuses it
 def _part_powers(k: int, terms: int) -> np.ndarray:
     j = np.arange(1, terms + 1, dtype=np.float64)
-    return j**k if k > 1 else j
-
-
-def _fulcrum_unrestricted(k: int, z: complex, eps: float) -> complex:
-    s = -z.real
-    tr = _series_terms(k, s, eps)
-    powers = _part_powers(k, tr.terms)
-    if z.imag == 0.0:
-        x = powers * s
-        vals = -np.log(-np.expm1(-x))
-        return complex(math.fsum(vals), 0.0)
-    w = np.exp(powers * z)
-    vals = -np.log1p(-w)
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
-
-
-def fulcrum(kind: PartitionKind, k: int, z: Union[complex, float],
-            eps: float = 1e-12) -> complex:
-    """log of the generating function at e^z, analytic on Re z < 0 and real
-    on the negative real axis.  Distinct kind: F(z) - F(2z)."""
-    _validate_k(k)
-    z = complex(z)
-    if not z.real < 0.0:
-        raise ValueError(f"fulcrum requires Re(z) < 0, got {z!r}")
-    if kind is PartitionKind.DISTINCT:
-        return _fulcrum_unrestricted(k, z, eps / 2) - _fulcrum_unrestricted(k, 2 * z, eps / 2)
-    return _fulcrum_unrestricted(k, z, eps)
+    powers = j**k if k > 1 else j
+    powers.flags.writeable = False
+    return powers
 
 
 def _poly_eval(coeffs: tuple, u: np.ndarray) -> np.ndarray:
@@ -165,60 +146,86 @@ def _poly_eval(coeffs: tuple, u: np.ndarray) -> np.ndarray:
     return val
 
 
-def _fulcrum_deriv_unrestricted(k: int, m: int, z: complex, eps: float) -> complex:
-    """m-th derivative of the unrestricted fulcrum at z (Re z < 0).
-
-    Per-term form j^(mk) p_m(u_j) with u_j = 1/(e^(x_j) - 1), x_j = -j^k z;
-    u is computed as e^(-x)/(1 - e^(-x)) which never overflows on Re x > 0.
-    """
-    s = -z.real
-    coeffs = _h_deriv_poly(m)
-    tr = _series_terms(k, s, eps, weight=m * k, poly_at_one=float(sum(coeffs)))
-    powers = _part_powers(k, tr.terms)
-    if z.imag == 0.0:
-        x = powers * s
-        u = np.exp(-x) / (-np.expm1(-x))
-        vals = _poly_eval(coeffs, u) * powers**m
-        return complex(math.fsum(vals), 0.0)
-    x = -powers * z
-    u = np.exp(-x) / (-np.expm1(-x))
-    vals = _poly_eval(coeffs, u) * powers**m
-    return complex(math.fsum(vals.real), math.fsum(vals.imag))
+def _fsum(vals: np.ndarray) -> float:
+    """Correctly rounded sum of a 1-d float array, handed to math.fsum as
+    Python floats at most _FSUM_CHUNK at a time."""
+    if vals.size <= _FSUM_CHUNK:
+        return math.fsum(vals.tolist())
+    return math.fsum(itertools.chain.from_iterable(
+        vals[i:i + _FSUM_CHUNK].tolist() for i in range(0, vals.size, _FSUM_CHUNK)))
 
 
-def fulcrum_derivative(kind: PartitionKind, k: int, m: int, s: float,
-                       eps: float = 1e-12, m_cap: int = DERIVATIVE_ORDER_CAP) -> float:
-    """m-th derivative of the fulcrum at -s, s > 0 (a positive real number).
+def _summands(m: int, zp: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Per-part terms at the exponents zp = j^k z: their sum is the m-th
+    derivative for m >= 1 and minus the value for m = 0.
 
-    Distinct kind combines the two product routes:
-    G^(m)(-s) = F^(m)(-s) - 2^m F^(m)(-2s).
-    """
-    _validate_k(k)
-    if not s > 0.0:
-        raise ValueError(f"requires s > 0, got {s!r}")
-    if not 1 <= m <= m_cap:
-        raise ValueError(f"derivative order m={m} outside 1..{m_cap}")
+    m = 0: Log(1 - e^zp), in real arithmetic on the real axis.  m >= 1:
+    j^(mk) p_m(u) with u = 1/(e^(-zp) - 1), computed as e^zp / (1 - e^zp),
+    which never overflows on Re zp < 0."""
+    if m == 0:
+        if zp.dtype.kind == "f":
+            return np.log(-np.expm1(zp))
+        return np.log1p(-np.exp(zp))
+    u = np.exp(zp) / -np.expm1(zp)
+    return _poly_eval(_h_deriv_poly(m), u) * powers**m
+
+
+def _series(k: int, m: int, z: list, eps: float) -> list:
+    """m-th derivative (m = 0: the value) of the unrestricted fulcrum at each
+    point of z, a list of complex points that share one real part -s < 0
+    and so one truncation.  The points on the real axis are all -s and share
+    one sum in real arithmetic; the others are summed in blocks of the
+    points-by-parts outer product."""
+    s = -z[0].real
+    poly_at_one = float(sum(_h_deriv_poly(m))) if m else 1.0  # the value: h <= u
+    tr = _series_terms(k, s, eps, m * k, poly_at_one)
+    powers = (_part_powers if tr.terms <= _CACHED_TERMS else _part_powers.__wrapped__)(k, tr.terms)
+    sign = -1.0 if m == 0 else 1.0  # negating a correctly rounded sum is exact
+    off = [i for i, p in enumerate(z) if p.imag != 0.0]
+    on_axis = 0j
+    if len(off) < len(z):
+        on_axis = complex(sign * _fsum(_summands(m, powers * -s, powers)), 0.0)
+    out = [on_axis] * len(z)
+    rows = max(1, _BLOCK // powers.size)
+    for lo in range(0, len(off), rows):
+        idx = off[lo:lo + rows]
+        vals = _summands(m, np.array([powers * z[i] for i in idx]), powers)
+        for i, re, im in zip(idx, vals.real, vals.imag):
+            out[i] = complex(sign * _fsum(re), sign * _fsum(im))
+    return out
+
+
+def _fulcrum_at(kind: PartitionKind, k: int, m: int, z: list, eps: float) -> list:
+    """m-th derivative of the fulcrum of either kind at each point of z (as
+    in _series).  Distinct kind: G^(m)(z) = F^(m)(z) - 2^m F^(m)(2z)."""
     if kind is PartitionKind.DISTINCT:
-        a = _fulcrum_deriv_unrestricted(k, m, complex(-s), eps / 2)
-        b = _fulcrum_deriv_unrestricted(k, m, complex(-2.0 * s), eps / 2**(m + 1))
-        return a.real - 2**m * b.real
-    return _fulcrum_deriv_unrestricted(k, m, complex(-s), eps).real
+        a = _series(k, m, z, eps / 2)
+        b = _series(k, m, [2 * p for p in z], eps / 2**(m + 1))
+        return [x - 2**m * y for x, y in zip(a, b)]
+    return _series(k, m, z, eps)
 
 
-def fulcrum_derivative_at(kind: PartitionKind, k: int, m: int, z: complex,
-                          eps: float = 1e-12, m_cap: int = DERIVATIVE_ORDER_CAP) -> complex:
-    """Complex-argument variant of fulcrum_derivative (used by the bound scans)."""
+def fulcrum(kind: PartitionKind, k: int, z: Union[complex, float],
+            eps: float = 1e-12, m: int = 0) -> complex:
+    """m-th derivative (m = 0: the value) of the log of the generating
+    function at e^z, analytic on Re z < 0 and real on the negative real
+    axis.  Distinct kind: F(z) - F(2z)."""
     _validate_k(k)
     z = complex(z)
     if not z.real < 0.0:
-        raise ValueError(f"requires Re(z) < 0, got {z!r}")
-    if not 1 <= m <= m_cap:
-        raise ValueError(f"derivative order m={m} outside 1..{m_cap}")
-    if kind is PartitionKind.DISTINCT:
-        a = _fulcrum_deriv_unrestricted(k, m, z, eps / 2)
-        b = _fulcrum_deriv_unrestricted(k, m, 2 * z, eps / 2**(m + 1))
-        return a - 2**m * b
-    return _fulcrum_deriv_unrestricted(k, m, z, eps)
+        raise ValueError(f"fulcrum requires Re(z) < 0, got {z!r}")
+    if not 0 <= m <= DERIVATIVE_ORDER_CAP:
+        raise ValueError(f"derivative order m={m} outside 0..{DERIVATIVE_ORDER_CAP}")
+    return _fulcrum_at(kind, k, m, [z], eps)[0]
+
+
+def fulcrum_derivative(kind: PartitionKind, k: int, m: int, s: float,
+                       eps: float = 1e-12) -> float:
+    """m-th derivative of the fulcrum at -s, s > 0 (a positive real number)."""
+    _validate_k(k)
+    if not 1 <= m <= DERIVATIVE_ORDER_CAP:
+        raise ValueError(f"derivative order m={m} outside 1..{DERIVATIVE_ORDER_CAP}")
+    return _fulcrum_at(kind, k, m, [complex(-s)], eps)[0].real
 
 
 def mean(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> float:
@@ -239,23 +246,43 @@ def family_point(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> F
                        tail_eps=eps)
 
 
-def char_fn_normalized(kind: PartitionKind, k: int, s: float, theta: float,
-                       eps: float = 1e-12) -> complex:
+def _vertical_line(kind: PartitionKind, k: int, s: float, t: np.ndarray,
+                   eps: float) -> list:
+    """The fulcrum at -s followed by its values at -s + i*t for each t, from
+    one kernel call."""
+    _validate_k(k)
+    return _fulcrum_at(kind, k, 0, [complex(-s)] + [complex(-s, y) for y in t.tolist()], eps)
+
+
+def char_fn_normalized(kind: PartitionKind, k: int, s: float,
+                       theta: Union[float, Sequence[float]], eps: float = 1e-12):
     """Characteristic function of the normalized variable at theta:
-    exp(F(-s + i*theta/sigma) - F(-s) - i*theta*mean/sigma)."""
+    exp(F(-s + i*theta/sigma) - F(-s) - i*theta*mean/sigma).
+
+    theta is a float (a complex is returned) or a 1-d sequence or array (a
+    complex array is returned); the mean, the variance and F(-s) are
+    computed once.
+    """
     m = mean(kind, k, s, eps)
     sigma = math.sqrt(variance(kind, k, s, eps))
-    base = fulcrum(kind, k, complex(-s), eps).real
-    val = fulcrum(kind, k, complex(-s, theta / sigma), eps)
-    return cmath.exp(val - base - 1j * theta * m / sigma)
+    thetas = np.array(theta, dtype=float, ndmin=1)
+    vals = _vertical_line(kind, k, s, thetas / sigma, eps)
+    base = vals[0].real
+    out = np.array([cmath.exp(val - base - 1j * t * m / sigma)
+                    for val, t in zip(vals[1:], thetas.tolist())])
+    return out if np.ndim(theta) else complex(out[0])
 
 
-def pgf_modulus_ratio(kind: PartitionKind, k: int, s: float, phi: float,
-                      eps: float = 1e-12) -> float:
-    """|f(e^(-s+i*phi))| / f(e^(-s)), always in (0, 1] away from phi = 0 mod 2pi."""
-    base = fulcrum(kind, k, complex(-s), eps).real
-    val = fulcrum(kind, k, complex(-s, phi), eps).real
-    return math.exp(val - base)
+def pgf_modulus_ratio(kind: PartitionKind, k: int, s: float,
+                      phi: Union[float, Sequence[float]], eps: float = 1e-12):
+    """|f(e^(-s+i*phi))| / f(e^(-s)), always in (0, 1] away from phi = 0 mod 2pi.
+
+    phi is a float (a float is returned) or a 1-d sequence or array (an
+    array is returned); F(-s) is computed once."""
+    vals = _vertical_line(kind, k, s, np.array(phi, dtype=float, ndmin=1), eps)
+    base = vals[0].real
+    out = np.array([math.exp(val.real - base) for val in vals[1:]])
+    return out if np.ndim(phi) else float(out[0])
 
 
 def pmf(point: FamilyPoint, n: int, table: CoeffTable) -> float:
@@ -312,7 +339,6 @@ __all__ = [
     "TruncationError",
     "fulcrum",
     "fulcrum_derivative",
-    "fulcrum_derivative_at",
     "mean",
     "variance",
     "family_point",

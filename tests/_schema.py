@@ -4,6 +4,7 @@ patternProperties, items, numeric bounds, pattern, oneOf, $ref to $defs)."""
 
 from __future__ import annotations
 
+import math
 import re
 
 _TYPES = {
@@ -16,8 +17,9 @@ _TYPES = {
 
 
 def _type_ok(value, name: str) -> bool:
-    if name == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if name == "number":  # NaN and infinities are not JSON numbers
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
     if name == "integer":
         return isinstance(value, int) and not isinstance(value, bool)
     return isinstance(value, _TYPES[name])

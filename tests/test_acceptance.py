@@ -21,7 +21,7 @@ from powerparts.diagnostics import (TWL_S_GRID, bd_condition_check,
                                     euler_maclaurin_identity_check,
                                     fulcrum_asymptotic_check, strong_gauss_l1,
                                     twl_bound_scan, _fit_loglog_slope)
-from powerparts.family import fulcrum, fulcrum_derivative_at
+from powerparts.family import fulcrum
 from powerparts.saddle import (bd_saddle, exact_saddle, hayman_estimate,
                                hr_closed_form, second_order_logP)
 from powerparts.special import constants
@@ -228,8 +228,7 @@ def test_criterion_13_domination_inequality(thresholds):
             s_vals = [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
             t_vals = list(np.linspace(t_lo, t_hi, n))
             for s in s_vals:
-                ref = fulcrum_derivative_at(U, int(k), 3, complex(-s)).real
+                ref = fulcrum(U, int(k), complex(-s), m=3).real
                 for theta in t_vals:
-                    val = abs(fulcrum_derivative_at(U, int(k), 3,
-                                                    complex(-s, theta)))
+                    val = abs(fulcrum(U, int(k), complex(-s, theta), m=3))
                     assert val <= ref * (1.0 + fx["tolerance"]), (k, s, theta)

@@ -208,12 +208,21 @@ class TestDiagnose:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_threads_env_does_not_change_output(self, capsys, monkeypatch):
-        args = ("diagnose", "--k", "2", "--suite", "gauss")
-        _, out1, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("POWERPARTS_THREADS", "4")
-        _, out2, _ = run_cli(capsys, *args)
-        assert out1 == out2
+    @pytest.mark.parametrize("suite, grid, verdict", [
+        ("gauss", "0.1:0.1:1", "gaussianity_ratio_m3"),
+        ("bd", "0.1:0.05:3", "bd_normalized_gap"),
+    ])
+    def test_grid_too_short_for_slope(self, capsys, suite, grid, verdict):
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run_cli(capsys, "diagnose", "--k", "1", "--suite", suite,
+                               "--s-grid", grid)
+        assert code == 0
+        payload = json.loads(out, parse_constant=reject)
+        assert validate(payload, load_schema("diagnose.schema.json")) == []
+        assert payload["verdicts"][verdict]["slope_fitted"] is None
+        assert payload["verdicts"][verdict]["pass"] is False
 
     def test_burn_in_flag(self, capsys):
         code, out, _ = run_cli(capsys, "diagnose", "--k", "2", "--suite", "strong",

@@ -5,10 +5,9 @@ import pytest
 
 from powerparts.bigcount import PartitionKind, count_partitions
 from powerparts.family import (SAMPLE_TAIL_EPS, FamilyPoint, TruncationError,
-                               _h_deriv_poly, char_fn_normalized, family_point,
-                               fulcrum, fulcrum_derivative,
-                               fulcrum_derivative_at, mean, pgf_modulus_ratio,
-                               pmf, sample, variance)
+                               _fulcrum_at, _h_deriv_poly, char_fn_normalized,
+                               family_point, fulcrum, fulcrum_derivative, mean,
+                               pgf_modulus_ratio, pmf, sample, variance)
 
 from _oracles import char_fn_from_table
 
@@ -46,6 +45,25 @@ class TestFulcrum:
             fulcrum(U, 1, complex(-1e-9), eps=1e-12)
         assert exc.value.achieved > exc.value.requested
         assert exc.value.terms >= 10**8
+
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_batch_equals_single_points(self, kind, m):
+        # 60 points at s = 0.02 span several blocks; the real-axis points
+        # take the real path inside a batch too
+        s = 0.02
+        zs = [complex(-s, t) for t in np.linspace(-3.0, 3.0, 59)] + [complex(-s)]
+        assert complex(-s) in zs[:-1]
+        batch = _fulcrum_at(kind, 1, m, zs, 1e-12)
+        assert batch == [fulcrum(kind, 1, z, m=m) for z in zs]
+        assert batch[-1].imag == 0.0
+
+    def test_order_range(self):
+        fulcrum(U, 1, complex(-0.5, 1.0), m=8)
+        with pytest.raises(ValueError):
+            fulcrum(U, 1, complex(-0.5, 1.0), m=9)
+        with pytest.raises(ValueError):
+            fulcrum(U, 1, complex(-0.5, 1.0), m=-1)
 
     def test_tail_certificate_is_a_bound(self):
         # the certified truncation really bounds what a longer sum adds
@@ -106,9 +124,9 @@ class TestFulcrumDerivative:
     def test_domination_third_derivative(self, k):
         # complex-argument modulus never exceeds the real-axis value
         for s in (0.05, 0.3, 1.0):
-            ref = fulcrum_derivative_at(U, k, 3, complex(-s)).real
+            ref = fulcrum(U, k, complex(-s), m=3).real
             for theta in (-2.0, -0.5, 0.1, 1.3, 3.0):
-                val = abs(fulcrum_derivative_at(U, k, 3, complex(-s, theta)))
+                val = abs(fulcrum(U, k, complex(-s, theta), m=3))
                 assert val <= ref * (1.0 + 1e-12)
 
 
@@ -150,6 +168,13 @@ class TestCharFn:
     def test_at_origin(self):
         assert char_fn_normalized(U, 1, 0.1, 0.0) == 1.0 + 0.0j
 
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_batch_equals_single_thetas(self, kind):
+        thetas = np.linspace(0.0, 5.0, 21)
+        batch = char_fn_normalized(kind, 2, 0.05, thetas)
+        assert batch[0] == 1.0 + 0.0j
+        assert list(batch) == [char_fn_normalized(kind, 2, 0.05, t) for t in thetas]
+
     def test_modulus_bounded(self):
         for theta in (0.3, 1.0, 4.0, 11.0):
             assert abs(char_fn_normalized(U, 1, 0.08, theta)) <= 1.0 + 1e-12
@@ -173,6 +198,12 @@ class TestCharFn:
 class TestPgfModulusRatio:
     def test_phi_zero(self):
         assert pgf_modulus_ratio(U, 1, 0.2, 0.0) == 1.0
+
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_batch_equals_single_phis(self, kind):
+        phis = np.geomspace(0.01, math.pi, 40)
+        batch = pgf_modulus_ratio(kind, 1, 0.1, phis)
+        assert list(batch) == [pgf_modulus_ratio(kind, 1, 0.1, p) for p in phis]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_full_turn(self, k):
