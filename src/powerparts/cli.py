@@ -165,7 +165,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
     m = mean(args.kind, args.k, s, args.eps)
     v = variance(args.kind, args.k, s, args.eps)
     thetas = args.theta_grid if args.theta_grid is not None else [0.0]
-    cfs = char_fn_normalized(args.kind, args.k, s, thetas, args.eps)
+    cfs = char_fn_normalized(args.kind, args.k, s, thetas, args.eps, moments=(m, v))
     lines = ["s,mean,variance,theta,cf_real,cf_imag"]
     for theta, cf in zip(thetas, cfs.tolist()):
         lines.append(",".join([_fmt(s), _fmt(m), _fmt(v), _fmt(theta),

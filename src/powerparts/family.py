@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -255,16 +255,19 @@ def _vertical_line(kind: PartitionKind, k: int, s: float, t: np.ndarray,
 
 
 def char_fn_normalized(kind: PartitionKind, k: int, s: float,
-                       theta: Union[float, Sequence[float]], eps: float = 1e-12):
+                       theta: Union[float, Sequence[float]], eps: float = 1e-12,
+                       moments: Optional[Tuple[float, float]] = None):
     """Characteristic function of the normalized variable at theta:
     exp(F(-s + i*theta/sigma) - F(-s) - i*theta*mean/sigma).
 
     theta is a float (a complex is returned) or a 1-d sequence or array (a
     complex array is returned); the mean, the variance and F(-s) are
-    computed once.
+    computed once.  A caller that already has mean(kind, k, s, eps) and
+    variance(kind, k, s, eps) passes them as moments to skip that work.
     """
-    m = mean(kind, k, s, eps)
-    sigma = math.sqrt(variance(kind, k, s, eps))
+    m, v = moments if moments is not None else (mean(kind, k, s, eps),
+                                                 variance(kind, k, s, eps))
+    sigma = math.sqrt(v)
     thetas = np.array(theta, dtype=float, ndmin=1)
     vals = _vertical_line(kind, k, s, thetas / sigma, eps)
     base = vals[0].real

@@ -30,7 +30,9 @@ class EstimateFormula(enum.Enum):
 
 
 class ConvergenceError(RuntimeError):
-    """Root finder exhausted its iteration budget."""
+    """Root finder stopped short of its tolerance: the iterate stopped moving
+    or the step budget ran out.  bracket is (lo, hi) of the signs seen so
+    far, best the last iterate."""
 
     def __init__(self, message: str, bracket: tuple, best: float):
         super().__init__(f"{message} (best bracket {bracket}, best s {best:g})")
@@ -46,6 +48,7 @@ class SaddleResult:
     method: SaddleMethod
     s: float
     residual: float  # mean(e^-s) - n; 0.0 by convention for BAEZ_DUARTE
+    evaluations: int = 0  # mean plus variance evaluations of the solve; 0 for BAEZ_DUARTE
 
 
 @dataclass(frozen=True)
@@ -79,56 +82,42 @@ def bd_saddle(k: int, n: int, kind: PartitionKind = PartitionKind.UNRESTRICTED) 
 
 def exact_saddle(kind: PartitionKind, k: int, n: int, rtol: float = 1e-10,
                  eps: float = 1e-12) -> SaddleResult:
-    """Solve mean(e^-s) = n for s by bracketing + bisection, then Newton.
+    """Solve mean(e^-s) = n for s by Newton's method from the closed-form
+    saddle s_bd of bd_saddle.
 
-    The mean is strictly decreasing in s, so the root is unique.  Initial
-    bracket [s_bd/4, 4 s_bd], widened geometrically if needed.
+    For both kinds the mean sum_j j^k / (e^(j^k s) -+ 1) is decreasing and
+    convex in s, because every summand is, so the root is unique and a
+    Newton step (d mean/ds = -variance) lands at or left of it: from the
+    left the iterates rise to the root without overshooting, and from the
+    right one step takes them to the left.  Against rounding, each iterate
+    stays inside the bracket (lo, hi) of the signs seen so far, (0, inf) at
+    the start: a step that leaves it is replaced by 4s while hi is inf, s/4
+    while lo is 0 and the midpoint otherwise.
+
+    Stops when |mean - n| <= rtol * n.  Raises ConvergenceError once the
+    iterate stops moving (rtol is below the rounding of the mean) or after
+    200 steps.
     """
     _validate_n(n)
     if not 0.0 < rtol <= 1e-3:
         raise ValueError(f"rtol must be in (0, 1e-3], got {rtol!r}")
-    s0 = bd_saddle(k, n, kind).s
-    lo, hi = s0 / 4.0, 4.0 * s0
-
-    def gap(s: float) -> float:
-        return mean(kind, k, s, eps) - n
-
-    budget = 200
-    # mean decreasing in s: need gap(lo) >= 0 >= gap(hi)
-    while gap(lo) < 0.0:
-        lo /= 4.0
-        budget -= 1
-        if budget <= 0:
-            raise ConvergenceError("could not bracket saddle from below", (lo, hi), lo)
-    while gap(hi) > 0.0:
-        hi *= 4.0
-        budget -= 1
-        if budget <= 0:
-            raise ConvergenceError("could not bracket saddle from above", (lo, hi), hi)
-
-    s = 0.5 * (lo + hi)
-    g = gap(s)
-    while budget > 0:
-        if abs(g) <= rtol * n:
+    s = bd_saddle(k, n, kind).s
+    lo, hi = 0.0, math.inf
+    for step in range(200):
+        g = mean(kind, k, s, eps) - n
+        if abs(g) <= rtol * n:  # step + 1 means and step variances so far
             return SaddleResult(kind=kind, k=k, n=n, method=SaddleMethod.EXACT_ROOT,
-                                s=s, residual=g)
-        budget -= 1
-        if hi - lo > 1e-2 * s:
-            if g > 0.0:
-                lo = s
-            else:
-                hi = s
-            s = 0.5 * (lo + hi)
+                                s=s, residual=g, evaluations=2 * step + 1)
+        if g > 0.0:
+            lo = s
         else:
-            # Newton: d(mean)/ds = -variance
-            if g > 0.0:
-                lo = s
-            else:
-                hi = s
-            step = g / variance(kind, k, s, eps)
-            nxt = s + step
-            s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        g = gap(s)
+            hi = s
+        nxt = s + g / variance(kind, k, s, eps)
+        if nxt == s or math.nextafter(lo, hi) >= hi:
+            raise ConvergenceError("saddle iterate stopped moving", (lo, hi), s)
+        if not lo < nxt < hi:
+            nxt = 4.0 * s if hi == math.inf else s / 4.0 if lo == 0.0 else 0.5 * (lo + hi)
+        s = nxt
     raise ConvergenceError("saddle iteration cap exceeded", (lo, hi), s)
 
 

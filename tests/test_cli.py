@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from powerparts import family
+from powerparts.bigcount import PartitionKind
 from powerparts.cli import main
 
 from _schema import validate
@@ -92,6 +94,27 @@ class TestFamily:
         mods = [math.hypot(float(l.split(",")[4]), float(l.split(",")[5]))
                 for l in lines[1:]]
         assert all(m <= 1.0 + 1e-12 for m in mods)
+
+    @pytest.mark.parametrize("kind", ["unrestricted", "distinct"])
+    def test_moments_computed_once(self, capsys, monkeypatch, kind):
+        orders = []
+        kernel = family._fulcrum_at
+
+        def counted(kind_, k, m, z, eps):
+            orders.append(m)
+            return kernel(kind_, k, m, z, eps)
+
+        monkeypatch.setattr(family, "_fulcrum_at", counted)
+        code, out, _ = run_cli(capsys, "family", "--kind", kind, "--k", "2",
+                               "--s", "0.1", "--theta-grid", "0:2:5")
+        assert code == 0
+        assert sorted(orders) == [0, 1, 2]
+        monkeypatch.undo()
+        cfs = family.char_fn_normalized(PartitionKind.parse(kind), 2, 0.1,
+                                        [0.0, 0.5, 1.0, 1.5, 2.0])
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [(float(r[4]), float(r[5])) for r in rows] == [
+            (float(format(c.real, ".15g")), float(format(c.imag, ".15g"))) for c in cfs]
 
     def test_malformed_grid(self, capsys):
         code, _, _ = run_cli(capsys, "family", "--k", "1", "--s", "0.5",

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from powerparts import saddle as sd
 from powerparts.bigcount import PartitionKind, count_partitions, log_integer
 from powerparts.family import fulcrum, mean
 from powerparts.saddle import (ConvergenceError, EstimateFormula, SaddleMethod,
@@ -11,6 +14,21 @@ from powerparts.special import constants
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
+
+
+def count_kernel_calls(monkeypatch) -> dict:
+    """Count the mean and variance evaluations made through the saddle module."""
+    calls = {"mean": 0, "variance": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sd, name, counted(name, getattr(sd, name)))
+    return calls
 
 
 class TestBdSaddle:
@@ -68,6 +86,52 @@ class TestExactSaddle:
             exact_saddle(U, 1, 100, rtol=0.5)
         with pytest.raises(ValueError):
             exact_saddle(U, 1, 100, rtol=0.0)
+
+    def test_stall_raises_at_once(self, monkeypatch):
+        # rtol * n = 1e-10 lies below the rounding of a mean of 1e6
+        calls = count_kernel_calls(monkeypatch)
+        n = 10**6
+        with pytest.raises(ConvergenceError) as info:
+            exact_saddle(U, 1, n, rtol=1e-16)
+        lo, hi = info.value.bracket
+        assert 0.0 < lo < hi <= lo * (1.0 + 1e-13)
+        assert lo <= info.value.best <= hi
+        assert mean(U, 1, lo) > n > mean(U, 1, hi)
+        assert calls["mean"] + calls["variance"] <= 17
+
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_evaluations_counted(self, kind, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        r = exact_saddle(kind, 2, 10**5)
+        assert r.evaluations == calls["mean"] + calls["variance"] > 0
+        assert bd_saddle(2, 10**5, kind).evaluations == 0
+
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_evaluations_bounded(self, kind, k):
+        # Newton from s_bd: at most four steps from n = 10^3 on
+        for e in range(3, 9 if k == 1 else 14):
+            assert exact_saddle(kind, k, 10**e).evaluations <= 9, e
+        for n in (1, 2, 3, 10, 100, 999):
+            assert exact_saddle(kind, k, n).evaluations <= 17, n
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), k=st.integers(1, 6),
+           log_n=st.floats(0.0, 13.0), log_rtol=st.floats(-13.0, -3.0))
+    @example(kind=U, k=1, log_n=13.0 * 6.0 / 8.0, log_rtol=-3.0)  # accepts s_bd as it is
+    @example(kind=U, k=1, log_n=13.0, log_rtol=-13.0)
+    @example(kind=D, k=2, log_n=13.0, log_rtol=-13.0)
+    def test_root_property(self, kind, k, log_n, log_rtol):
+        n = round(10.0 ** (log_n if k > 1 else log_n * 8.0 / 13.0))
+        rtol = 10.0 ** log_rtol
+        r = exact_saddle(kind, k, n, rtol=rtol)
+        assert abs(r.residual) <= rtol * n
+        assert r.residual == mean(kind, k, r.s) - n
+        # the root lies within a relative 1e-6 of s, or within 4 rtol where
+        # rtol allows more: over a relative step delta near the root the
+        # mean moves by about (1 + 1/k) n delta, more than rtol * n
+        delta = max(1e-6, 4.0 * rtol)
+        assert mean(kind, k, r.s * (1.0 - delta)) > n > mean(kind, k, r.s * (1.0 + delta))
 
 
 class TestHaymanEstimate:
