@@ -17,17 +17,24 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import mpmath
 
 from powerparts.bigcount import PartitionKind, count_partitions, log_integer
 from powerparts import diagnostics as dg
 from powerparts import saddle as sd
 from powerparts.family import fulcrum
+from powerparts.special import gamma_fn, riemann_zeta
+
+from _oracles import mp_fulcrum, mp_rel_err
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
 
-OUT = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "thresholds.json"
+OUT = ROOT / "tests" / "fixtures" / "thresholds.json"
 
 
 def geometric_pow2(lo_exp: int, hi_exp: int) -> list:
@@ -259,6 +266,38 @@ def main() -> None:
         "qk_closed_k1_n1000": rq,
     }
     print(f"spot: hayman n=500 {r500:.6f}, qk n=1000 {rq:.6f}")
+
+    # --- 40-digit mpmath audit (module tests): largest relative error per case
+    dps, margin = 40, 2.0
+
+    def audit_case(errors: list) -> dict:
+        return {"max_rel_err_measured": max(errors),
+                "threshold": margin * max(errors) + 2.0**-52}
+
+    with mpmath.workdps(dps):
+        audit = {
+            "dps": dps,
+            "note": "threshold = margin * measured + 2^-52, margin 2; references "
+                    "from mpmath (tests/_oracles.py mp_fulcrum for the fulcrum)",
+            "riemann_zeta": audit_case([
+                mp_rel_err(riemann_zeta(1.0 + 1.0 / k),
+                           mpmath.zeta(mpmath.mpf(1.0 + 1.0 / k))) for k in range(1, 7)]),
+            "gamma_fn": audit_case([
+                mp_rel_err(gamma_fn(m + 1.0 / k), mpmath.gamma(mpmath.mpf(m + 1.0 / k)))
+                for k in range(1, 7) for m in range(9)]),
+            "fulcrum_grid": {"k": [1, 2, 3], "s": [0.5, 0.1, 0.02], "m_max": 4},
+        }
+    grid = audit["fulcrum_grid"]
+    for kind in (U, D):
+        errs = [[] for _ in range(grid["m_max"] + 1)]
+        for k in grid["k"]:
+            for s in grid["s"]:
+                for m, ref in enumerate(mp_fulcrum(kind, k, s, grid["m_max"], dps)):
+                    errs[m].append(mp_rel_err(fulcrum(kind, k, -s, m=m).real, ref, dps))
+        audit[f"fulcrum_{kind.value}"] = {str(m): audit_case(e) for m, e in enumerate(errs)}
+    fx["mpmath_audit"] = audit
+    print(f"mpmath audit: zeta {audit['riemann_zeta']['max_rel_err_measured']:.2e}, "
+          f"gamma {audit['gamma_fn']['max_rel_err_measured']:.2e}")
 
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(fx, indent=2, sort_keys=True) + "\n")

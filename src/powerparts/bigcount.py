@@ -64,11 +64,13 @@ class CoeffTable:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _validate_args(k: int, n_max: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+def _validate_args(k: int, n: int, name: str = "n_max", least: int = 0) -> None:
+    """Raise ValueError unless k >= 1 and the argument ``name`` is >= ``least``
+    (0 or 1), both ints."""
+    for label, v, lo in (("k", k, 1), (name, n, least)):
+        if not isinstance(v, int) or v < lo:
+            sign = "positive" if lo else "nonnegative"
+            raise ValueError(f"{label} must be a {sign} integer, got {v!r}")
 
 
 def _parts(k: int, n_max: int) -> Iterator[int]:
@@ -93,23 +95,15 @@ def count_partitions(kind: PartitionKind, k: int, n_max: int) -> CoeffTable:
     c[0] = 1
     for p in _parts(k, n_max):
         starts = range(p, n_max + 1, p)
-        if kind is PartitionKind.UNRESTRICTED:
-            for start in starts:
-                end = min(start + p, n_max + 1)
-                c[start:end] = map(add, c[start:end], c[start - p:end - p])
-        else:
-            for start in reversed(starts):
-                end = min(start + p, n_max + 1)
-                c[start:end] = map(add, c[start:end], c[start - p:end - p])
+        for start in starts if kind is PartitionKind.UNRESTRICTED else reversed(starts):
+            end = min(start + p, n_max + 1)
+            c[start:end] = map(add, c[start:end], c[start - p:end - p])
     return CoeffTable(kind=kind, k=k, n_max=n_max, coeffs=tuple(c))
 
 
 def delta_k(k: int, n: int) -> int:
     """Sum of the perfect k-th powers dividing n."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _validate_args(k, n, "n", 1)
     total = 0
     j = 1
     while j**k <= n:
@@ -124,10 +118,7 @@ def epsilon_k(k: int, n: int) -> int:
 
     For k = 1 this equals the sum of the odd divisors of n.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _validate_args(k, n, "n", 1)
     total = 0
     j = 1
     while j**k <= n:

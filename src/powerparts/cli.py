@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import diagnostics as diag
 from . import saddle as sd
@@ -25,34 +25,20 @@ RATIO_BUDGET = {1: 1 << 16}
 RATIO_BUDGET_DEFAULT = 1 << 17
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
-    return v
+def _number(cast, above):
+    """argparse type: a finite value of type ``cast`` greater than ``above``."""
+    noun = "an integer" if cast is int else "a finite number"
 
+    def read(text: str):
+        try:
+            v = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not above < v < math.inf:
+            raise argparse.ArgumentTypeError(f"must be {noun} > {above}: {text!r}")
+        return v
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0: {text!r}")
-    return v
+    return read
 
 
 def _kind(text: str) -> PartitionKind:
@@ -62,68 +48,48 @@ def _kind(text: str) -> PartitionKind:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def parse_linear_grid(spec: str) -> List[float]:
-    """'a:b:n' -> n evenly spaced values from a to b inclusive."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid must be a:b:n, got {spec!r}")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed grid {spec!r}") from None
-    if n < 1 or (n == 1 and a != b) or (n > 1 and b == a):
-        raise argparse.ArgumentTypeError(f"grid {spec!r} is empty or degenerate")
-    if n == 1:
-        return [a]
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n)]
+def _grid(forms=("linear",), cast=float, positive=False):
+    """argparse type reading a grid spec: 'a:b:n' is n evenly spaced values
+    from a to b inclusive, 'geometric:a:b:n' n values in geometric progression.
 
-
-def parse_geometric_int_grid(spec: str) -> List[int]:
-    """'geometric:a:b:points' -> strictly increasing integers from a to b."""
-    parts = spec.split(":")
-    if len(parts) != 4 or parts[0] != "geometric":
-        raise argparse.ArgumentTypeError(
-            f"n-grid must be geometric:a:b:points, got {spec!r}")
-    try:
-        a, b, n = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"malformed grid {spec!r}") from None
-    if a < 1 or b < a or n < 1:
-        raise argparse.ArgumentTypeError(f"grid {spec!r} is empty or not increasing")
-    if n == 1 or a == b:
-        return [a]
-    ratio = (b / a) ** (1.0 / (n - 1))
-    out = []
-    for i in range(n):
-        v = min(round(a * ratio**i), b)
-        if not out or v > out[-1]:
-            out.append(v)
-    if out[-1] != b:
-        out.append(b)
-    return out
-
-
-def parse_s_grid(spec: str) -> List[float]:
-    """Linear 'a:b:n' or 'geometric:a:b:n' grid of positive s values."""
-    if spec.startswith("geometric:"):
+    One rule for every spec: n >= 1, n == 1 exactly when a == b, every value
+    finite, geometric end points positive.  ``forms`` lists the forms the
+    option takes and ``positive`` asks for positive values.  With
+    ``cast=int`` the end points are integers with a <= b, and the grid is the
+    distinct rounded values of the geometric one, increasing up to b.
+    """
+    def read(spec: str) -> list:
         parts = spec.split(":")
-        if len(parts) != 4:
-            raise argparse.ArgumentTypeError(f"malformed grid {spec!r}")
+        form = parts.pop(0) if parts[0] == "geometric" else "linear"
+        if form not in forms or len(parts) != 3:
+            shapes = " or ".join("a:b:n" if f == "linear" else f"{f}:a:b:n" for f in forms)
+            raise argparse.ArgumentTypeError(f"grid must be {shapes}, got {spec!r}")
         try:
-            a, b, n = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError:
+            a, b, n = cast(parts[0]), cast(parts[1]), int(parts[2])
+            if (n < 1 or (n == 1) != (a == b) or (cast is int and b < a)
+                    or (form == "geometric" and not (a > 0 and b > 0))):
+                raise argparse.ArgumentTypeError(
+                    f"grid {spec!r} is empty, degenerate or not increasing")
+            if n == 1:
+                vals = [a]
+            elif form == "geometric":
+                ratio = (b / a) ** (1.0 / (n - 1))
+                vals = [a * ratio**i for i in range(n)]
+            else:
+                step = (b - a) / (n - 1)
+                vals = [a + i * step for i in range(n)]
+            finite = all(map(math.isfinite, vals))
+        except (ValueError, OverflowError):
             raise argparse.ArgumentTypeError(f"malformed grid {spec!r}") from None
-        if n < 1 or a <= 0 or b <= 0 or (n > 1 and a == b):
-            raise argparse.ArgumentTypeError(f"grid {spec!r} is empty or degenerate")
-        if n == 1:
-            return [a]
-        ratio = (b / a) ** (1.0 / (n - 1))
-        return [a * ratio**i for i in range(n)]
-    vals = parse_linear_grid(spec)
-    if any(v <= 0 for v in vals):
-        raise argparse.ArgumentTypeError(f"s grid must be positive: {spec!r}")
-    return vals
+        if not finite:
+            raise argparse.ArgumentTypeError(f"grid {spec!r} has a non-finite value")
+        if positive and not all(v > 0 for v in vals):
+            raise argparse.ArgumentTypeError(f"grid values must be positive: {spec!r}")
+        if cast is int:
+            return sorted({min(round(v), b) for v in vals} | {b})
+        return vals
+
+    return read
 
 
 def _fmt(x: float) -> str:
@@ -174,26 +140,25 @@ def _cmd_family(args: argparse.Namespace) -> int:
     return 0
 
 
+def _estimate(method: str, kind: PartitionKind, k: int, n: int, eps: float,
+              rtol: float = 1e-10) -> tuple:
+    """One estimator at one n: (log estimate, saddle or None)."""
+    if method == "hr":
+        return sd.hr_closed_form(k, n), None
+    if method == "qk":
+        return sd.qk_closed_form(k, n), None
+    saddle = (sd.bd_saddle(k, n, kind) if method == "bd"
+              else sd.exact_saddle(kind, k, n, rtol=rtol, eps=eps))
+    return sd.hayman_estimate(kind, k, n, saddle, eps), saddle
+
+
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
     kind, k, n = args.kind, args.k, args.n
     if args.method == "hr" and kind is not PartitionKind.UNRESTRICTED:
         raise UsageError("--method hr requires --kind unrestricted")
     if args.method == "qk" and kind is not PartitionKind.DISTINCT:
         raise UsageError("--method qk requires --kind distinct")
-    s = None
-    residual = None
-    if args.method == "bd":
-        saddle = sd.bd_saddle(k, n, kind)
-        est = sd.hayman_estimate(kind, k, n, saddle, args.eps)
-        s, residual = saddle.s, saddle.residual
-    elif args.method == "exact":
-        saddle = sd.exact_saddle(kind, k, n, rtol=args.rtol, eps=args.eps)
-        est = sd.hayman_estimate(kind, k, n, saddle, args.eps)
-        s, residual = saddle.s, saddle.residual
-    elif args.method == "hr":
-        est = sd.hr_closed_form(k, n)
-    else:
-        est = sd.qk_closed_form(k, n)
+    est, saddle = _estimate(args.method, kind, k, n, args.eps, args.rtol)
     payload = {
         "kind": kind.value,
         "k": k,
@@ -202,8 +167,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         "formula": est.formula.value,
         "heuristic": est.heuristic,
         "log_value": float(_fmt(est.log_value)),
-        "s": None if s is None else float(_fmt(s)),
-        "residual": None if residual is None else float(_fmt(residual)),
+        "s": None if saddle is None else float(_fmt(saddle.s)),
+        "residual": None if saddle is None else float(_fmt(saddle.residual)),
     }
     _emit(_json_dumps(payload), args.output)
     return 0
@@ -218,6 +183,7 @@ def _cmd_ratio_table(args: argparse.Namespace) -> int:
             f"n-grid maximum {grid[-1]} exceeds the compute budget {budget} for "
             f"k={k}; rerun with a grid capped at {budget} (or raise --max-n)")
     table = count_partitions(kind, k, grid[-1])
+    closed = "hr" if kind is PartitionKind.UNRESTRICTED else "qk"
     header = ("n,exact_log,hayman_exact_log,hayman_bd_log,closed_form_log,"
               "hayman_exact_ratio,hayman_bd_ratio,closed_form_ratio")
     lines = [header]
@@ -227,15 +193,11 @@ def _cmd_ratio_table(args: argparse.Namespace) -> int:
                 f"exact count is zero at n={n} (kind={kind.value}, k={k}); "
                 f"no log ratio exists there, start the grid higher")
         exact_log = log_integer(table.coeffs[n])
-        est_exact = sd.hayman_estimate(
-            kind, k, n, sd.exact_saddle(kind, k, n, eps=args.eps), args.eps)
-        est_bd = sd.hayman_estimate(kind, k, n, sd.bd_saddle(k, n, kind), args.eps)
-        closed = (sd.hr_closed_form(k, n) if kind is PartitionKind.UNRESTRICTED
-                  else sd.qk_closed_form(k, n))
+        ests = [_estimate(method, kind, k, n, args.eps)[0]
+                for method in ("exact", "bd", closed)]
         row = [str(n), _fmt(exact_log)]
-        row += [_fmt(e.log_value) for e in (est_exact, est_bd, closed)]
-        row += [_fmt(math.exp(e.log_value - exact_log))
-                for e in (est_exact, est_bd, closed)]
+        row += [_fmt(e.log_value) for e in ests]
+        row += [_fmt(math.exp(e.log_value - exact_log)) for e in ests]
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -280,55 +242,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, kind_default="unrestricted"):
         p.add_argument("--kind", type=_kind, default=PartitionKind.parse(kind_default))
-        p.add_argument("--k", type=_positive_int, required=True)
+        p.add_argument("--k", type=_number(int, 0), required=True)
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--eps", type=_positive_float, default=1e-12,
+        p.add_argument("--eps", type=_number(float, 0.0), default=1e-12,
                        help="series tail tolerance")
 
     p = sub.add_parser("count", help="exact coefficient table")
     common(p)
-    p.add_argument("--n-max", type=_nonnegative_int, required=True)
+    p.add_argument("--n-max", type=_number(int, -1), required=True)
     p.add_argument("--method", choices=("dp", "recurrence"), default="dp")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("constants", help="constant set as JSON")
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_number(int, 0), required=True)
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("family", help="mean/variance and characteristic function rows")
     common(p)
-    p.add_argument("--s", type=_positive_float, required=True)
-    p.add_argument("--theta-grid", type=parse_linear_grid, default=None,
+    p.add_argument("--s", type=_number(float, 0.0), required=True)
+    p.add_argument("--theta-grid", type=_grid(), default=None,
                    metavar="A:B:N")
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("asymptotic", help="one estimator at one n, as JSON")
     common(p)
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_number(int, 0), required=True)
     p.add_argument("--method", choices=("bd", "exact", "hr", "qk"), required=True)
-    p.add_argument("--rtol", type=_positive_float, default=1e-10)
+    p.add_argument("--rtol", type=_number(float, 0.0), default=1e-10)
     p.set_defaults(func=_cmd_asymptotic)
 
     p = sub.add_parser("ratio-table", help="exact vs estimated log-counts over an n grid")
     common(p)
-    p.add_argument("--n-grid", type=parse_geometric_int_grid, required=True,
+    p.add_argument("--n-grid", type=_grid(("geometric",), cast=int), required=True,
                    metavar="geometric:A:B:POINTS")
-    p.add_argument("--max-n", type=_positive_int, default=None,
+    p.add_argument("--max-n", type=_number(int, 0), default=None,
                    help="override the compute budget")
     p.set_defaults(func=_cmd_ratio_table)
 
     p = sub.add_parser("diagnose", help="run a diagnostics suite")
     common(p)
     p.add_argument("--suite", choices=diag.SUITES + ("all",), required=True)
-    p.add_argument("--s-grid", type=parse_s_grid, default=None,
-                   metavar="A:B:N|geometric:A:B:N")
-    p.add_argument("--draws", type=_positive_int, default=20000)
+    p.add_argument("--s-grid", type=_grid(("linear", "geometric"), positive=True),
+                   default=None, metavar="A:B:N|geometric:A:B:N")
+    p.add_argument("--draws", type=_number(int, 0), default=20000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--quad-tol", type=_positive_float, default=1e-6)
-    p.add_argument("--burn-in", type=_nonnegative_int, default=None,
+    p.add_argument("--quad-tol", type=_number(float, 0.0), default=1e-6)
+    p.add_argument("--burn-in", type=_number(int, -1), default=None,
                    help="override the suite's monotonicity burn-in index")
     p.add_argument("--csv", action="store_true", help="flatten metrics to CSV rows")
     p.set_defaults(func=_cmd_diagnose)

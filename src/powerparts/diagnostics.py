@@ -291,6 +291,112 @@ def _decreasing(seq: Sequence[float], burn_in: int = 0, slack: float = 0.0) -> b
     return all(b <= a + slack for a, b in zip(tail, tail[1:]))
 
 
+def _monotone_verdict(criterion: str, seq: tuple, b: int, **extra) -> dict:
+    """Pass when the sequence decreases after burn-in ``b``."""
+    ok = _decreasing(seq, burn_in=b)
+    return {"criterion": criterion, "burn_in": b, **extra,
+            "decreasing": ok, "final": seq[-1], "pass": ok}
+
+
+def _slope_verdict(criterion: str, grid: tuple, seq: tuple, b: int, expected: float,
+                   judge_decreasing: bool = False) -> dict:
+    """Pass when the log-log slope after burn-in ``b`` is within 0.1 of
+    ``expected`` (and, if judged, the sequence decreases after burn-in)."""
+    fitted = _fit_loglog_slope(grid[b:], seq[b:])
+    verdict = {"criterion": criterion, "burn_in": b, "slope_expected": expected,
+               "slope_fitted": fitted,
+               "pass": fitted is not None and abs(fitted - expected) < 0.1}
+    if judge_decreasing:
+        verdict["decreasing"] = _decreasing(seq, burn_in=b)
+        verdict["pass"] = verdict["decreasing"] and verdict["pass"]
+    return verdict
+
+
+# Each suite maps (kind, k, grid, burn-in, options) to (metrics, verdicts).
+
+def _gauss_suite(kind, k, grid, b, eps, **_) -> tuple:
+    ratios = [gaussianity_ratios(kind, k, s, m_max=6, eps=eps) for s in grid]
+    metrics, verdicts = {}, {}
+    for j in range(3, 7):
+        name = f"gaussianity_ratio_m{j}"
+        metrics[name] = tuple(r[j - 3] for r in ratios)
+        verdicts[name] = _slope_verdict(
+            "ratio decreasing to 0; log-log slope near (m/2-1)/k", grid, metrics[name],
+            b, (j / 2.0 - 1.0) / k, judge_decreasing=True)
+    return metrics, verdicts
+
+
+def _strong_suite(kind, k, grid, b, quad_tol, eps, **_) -> tuple:
+    seq = tuple(strong_gauss_l1(kind, k, s, quad_tol=quad_tol, eps=eps) for s in grid)
+    return {"strong_gauss_l1": seq}, {"strong_gauss_l1": _monotone_verdict(
+        "strictly decreasing along decreasing s after burn-in", seq, b)}
+
+
+def _twl_suite(kind, k, grid, b, eps, **_) -> tuple:
+    scans = [twl_bound_scan(k, s, kind=kind, eps=eps) for s in grid]
+    metrics = {
+        "twl_d1": tuple(sc.d1 for sc in scans),
+        "twl_d2": tuple(sc.d2 for sc in scans),
+        "twl_violations": tuple(float(sc.violations) for sc in scans),
+    }
+    ok = all(sc.d1 > 0 and sc.d2 > 0 and sc.violations == 0 for sc in scans)
+    return metrics, {"twl_bound": {
+        "criterion": "fitted d1, d2 positive with no modulus-ratio violations",
+        "normative": scans[0].normative,
+        "pass": ok,
+    }}
+
+
+def _bd_suite(kind, k, grid, b, eps, **_) -> tuple:
+    if kind is not PartitionKind.UNRESTRICTED:
+        return {}, {"bd_condition": {
+            "criterion": "mean-approximant condition (unrestricted only)",
+            "pass": None,
+            "note": "not applicable to the distinct kind",
+        }}
+    gap = tuple(bd_condition_check(k, grid, eps=eps))
+    scaled = tuple(bd_scaled_mean_gap(k, grid, eps=eps))
+    return {"bd_normalized_gap": gap, "bd_scaled_mean_gap": scaled}, {
+        "bd_normalized_gap": _slope_verdict(
+            "-> 0 with log-log slope near 1/(2k)", grid, gap, b, 1.0 / (2.0 * k)),
+        "bd_scaled_mean_gap": {
+            "criterion": "s*(approx_mean - mean) within [0, 1]",
+            "pass": all(-1e-9 <= g <= 1.0 + 1e-9 for g in scaled),
+        },
+    }
+
+
+def _em_suite(kind, k, grid, b, quad_tol, **_) -> tuple:
+    lhs, rhs = euler_maclaurin_identity_check(quad_tol=min(quad_tol, 1e-9))
+    return {}, {"euler_maclaurin_identity": {
+        "criterion": "|lhs - rhs| <= 1e-8",
+        "lhs": lhs,
+        "rhs": rhs,
+        "abs_diff": abs(lhs - rhs),
+        "pass": abs(lhs - rhs) <= 1e-8,
+    }}
+
+
+def _clt_suite(kind, k, grid, b, draws, seed, eps, **_) -> tuple:
+    vals = tuple(clt_empirical_check(kind, k, s, draws, seed, eps=eps) for s in grid)
+    return {"clt_ks": vals}, {"clt_ks": _monotone_verdict(
+        "KS distance decreasing along decreasing s after burn-in", vals, b,
+        draws=draws, seed=seed)}
+
+
+# suite -> (default s grid, default burn-in, suite function); a suite that
+# returns no metrics reports an empty grid
+_SUITE_TABLE = {
+    "gauss": (DEFAULT_S_GRID, 2, _gauss_suite),
+    "strong": (STRONG_GAUSS_GRID, 0, _strong_suite),
+    "twl": (TWL_S_GRID, None, _twl_suite),
+    "bd": (DEFAULT_S_GRID, 3, _bd_suite),
+    "em": ((), None, _em_suite),
+    "clt": (CLT_S_GRID, 0, _clt_suite),
+}
+SUITES = tuple(_SUITE_TABLE)
+
+
 def run_suite(kind: PartitionKind, k: int, suite: str,
               s_grid: Optional[Sequence[float]] = None,
               draws: int = 20000, seed: int = 0, quad_tol: float = 1e-6,
@@ -300,125 +406,15 @@ def run_suite(kind: PartitionKind, k: int, suite: str,
     ``burn_in`` overrides the suite's default index before which monotone
     verdicts are not judged; the value used is recorded in the verdict.
     """
-    if suite == "gauss":
-        grid = tuple(s_grid) if s_grid else DEFAULT_S_GRID
-        b = 2 if burn_in is None else burn_in
-        ratios = [gaussianity_ratios(kind, k, s, m_max=6, eps=eps) for s in grid]
-        metrics = {}
-        for idx, j in enumerate(range(3, 7)):
-            metrics[f"gaussianity_ratio_m{j}"] = tuple(r[idx] for r in ratios)
-        verdicts = {}
-        for j in range(3, 7):
-            seq = metrics[f"gaussianity_ratio_m{j}"]
-            expected = (j / 2.0 - 1.0) / k
-            fitted = _fit_loglog_slope(grid[b:], seq[b:])
-            verdicts[f"gaussianity_ratio_m{j}"] = {
-                "criterion": "ratio decreasing to 0; log-log slope near (m/2-1)/k",
-                "burn_in": b,
-                "decreasing": _decreasing(seq, burn_in=b),
-                "slope_expected": expected,
-                "slope_fitted": fitted,
-                "pass": (_decreasing(seq, burn_in=b) and fitted is not None
-                         and abs(fitted - expected) < 0.1),
-            }
-        return DiagnosticsReport(kind=kind, k=k, grid=grid, metrics=metrics,
-                                 verdicts=verdicts)
-
-    if suite == "strong":
-        grid = tuple(s_grid) if s_grid else STRONG_GAUSS_GRID
-        b = 0 if burn_in is None else burn_in
-        seq = tuple(strong_gauss_l1(kind, k, s, quad_tol=quad_tol, eps=eps) for s in grid)
-        verdicts = {"strong_gauss_l1": {
-            "criterion": "strictly decreasing along decreasing s after burn-in",
-            "burn_in": b,
-            "decreasing": _decreasing(seq, burn_in=b),
-            "final": seq[-1],
-            "pass": _decreasing(seq, burn_in=b),
-        }}
-        return DiagnosticsReport(kind=kind, k=k, grid=grid,
-                                 metrics={"strong_gauss_l1": seq}, verdicts=verdicts)
-
-    if suite == "twl":
-        grid = tuple(s_grid) if s_grid else TWL_S_GRID
-        scans = [twl_bound_scan(k, s, kind=kind, eps=eps) for s in grid]
-        metrics = {
-            "twl_d1": tuple(sc.d1 for sc in scans),
-            "twl_d2": tuple(sc.d2 for sc in scans),
-            "twl_violations": tuple(float(sc.violations) for sc in scans),
-        }
-        ok = (all(sc.d1 > 0 for sc in scans) and all(sc.d2 > 0 for sc in scans)
-              and all(sc.violations == 0 for sc in scans))
-        verdicts = {"twl_bound": {
-            "criterion": "fitted d1, d2 positive with no modulus-ratio violations",
-            "normative": scans[0].normative,
-            "pass": ok,
-        }}
-        return DiagnosticsReport(kind=kind, k=k, grid=grid, metrics=metrics,
-                                 verdicts=verdicts)
-
-    if suite == "bd":
-        grid = tuple(s_grid) if s_grid else DEFAULT_S_GRID
-        b = 3 if burn_in is None else burn_in
-        if kind is not PartitionKind.UNRESTRICTED:
-            return DiagnosticsReport(kind=kind, k=k, grid=(), metrics={}, verdicts={
-                "bd_condition": {
-                    "criterion": "mean-approximant condition (unrestricted only)",
-                    "pass": None,
-                    "note": "not applicable to the distinct kind",
-                }})
-        gap = tuple(bd_condition_check(k, grid, eps=eps))
-        scaled = tuple(bd_scaled_mean_gap(k, grid, eps=eps))
-        slope = _fit_loglog_slope(grid[b:], gap[b:])
-        verdicts = {
-            "bd_normalized_gap": {
-                "criterion": "-> 0 with log-log slope near 1/(2k)",
-                "burn_in": b,
-                "slope_expected": 1.0 / (2.0 * k),
-                "slope_fitted": slope,
-                "pass": slope is not None and abs(slope - 1.0 / (2.0 * k)) < 0.1,
-            },
-            "bd_scaled_mean_gap": {
-                "criterion": "s*(approx_mean - mean) within [0, 1]",
-                "pass": all(-1e-9 <= g <= 1.0 + 1e-9 for g in scaled),
-            },
-        }
-        return DiagnosticsReport(kind=kind, k=k, grid=grid,
-                                 metrics={"bd_normalized_gap": gap,
-                                          "bd_scaled_mean_gap": scaled},
-                                 verdicts=verdicts)
-
-    if suite == "em":
-        lhs, rhs = euler_maclaurin_identity_check(quad_tol=min(quad_tol, 1e-9))
-        verdicts = {"euler_maclaurin_identity": {
-            "criterion": "|lhs - rhs| <= 1e-8",
-            "lhs": lhs,
-            "rhs": rhs,
-            "abs_diff": abs(lhs - rhs),
-            "pass": abs(lhs - rhs) <= 1e-8,
-        }}
-        return DiagnosticsReport(kind=kind, k=k, grid=(), metrics={}, verdicts=verdicts)
-
-    if suite == "clt":
-        grid = tuple(s_grid) if s_grid else CLT_S_GRID
-        b = 0 if burn_in is None else burn_in
-        vals = tuple(clt_empirical_check(kind, k, s, draws, seed, eps=eps)
-                     for s in grid)
-        verdicts = {"clt_ks": {
-            "criterion": "KS distance decreasing along decreasing s after burn-in",
-            "burn_in": b,
-            "draws": draws,
-            "seed": seed,
-            "decreasing": _decreasing(vals, burn_in=b),
-            "final": vals[-1],
-            "pass": _decreasing(vals, burn_in=b),
-        }}
-        return DiagnosticsReport(kind=kind, k=k, grid=grid,
-                                 metrics={"clt_ks": vals}, verdicts=verdicts)
-
-    raise ValueError(f"unknown diagnostics suite: {suite!r}")
-
-
-SUITES = ("gauss", "strong", "twl", "bd", "em", "clt")
+    if suite not in _SUITE_TABLE:
+        raise ValueError(f"unknown diagnostics suite: {suite!r}")
+    default_grid, default_burn_in, run = _SUITE_TABLE[suite]
+    grid = tuple(s_grid) if s_grid else default_grid
+    b = default_burn_in if burn_in is None else burn_in
+    metrics, verdicts = run(kind, k, grid, b, draws=draws, seed=seed,
+                            quad_tol=quad_tol, eps=eps)
+    return DiagnosticsReport(kind=kind, k=k, grid=grid if metrics else (),
+                             metrics=metrics, verdicts=verdicts)
 
 
 def run_all(kind: PartitionKind, k: int, draws: int = 20000, seed: int = 0,

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerparts.bigcount import (CoeffTable, PartitionKind, count_partitions,
                                  count_via_log_recurrence, delta_k,
@@ -99,6 +101,11 @@ class TestDivisorSums:
 
 
 class TestLogRecurrence:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), k=st.integers(1, 5), n_max=st.integers(0, 400))
+    def test_dp_equals_recurrence_property(self, kind, k, n_max):
+        assert count_partitions(kind, k, n_max) == count_via_log_recurrence(kind, k, n_max)
+
     def test_partition_numbers(self):
         assert count_via_log_recurrence(U, 1, 5).coeffs == (1, 1, 2, 3, 5, 7)
 

@@ -1,12 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from powerparts import family
 from powerparts.bigcount import PartitionKind
-from powerparts.cli import main
+from powerparts.cli import _grid, main
 
 from _schema import validate
 
@@ -256,6 +261,130 @@ class TestDiagnose:
     def test_bad_suite(self, capsys):
         code, _, _ = run_cli(capsys, "diagnose", "--k", "1", "--suite", "bogus")
         assert code == 2
+
+
+class TestRefusedInput:
+    """Non-finite numbers and degenerate grids are refused at parse time:
+    exit 2, nothing on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        "family --k 1 --s 0.1 --theta-grid nan:1:3",
+        "family --k 1 --s 0.1 --theta-grid 0:inf:3",
+        "family --k 1 --s inf",
+        "family --k 1 --s 0.1 --eps inf",
+        "asymptotic --k 1 --n 100 --method exact --rtol inf",
+        "diagnose --k 1 --suite strong --s-grid inf:inf:1",
+        "diagnose --k 1 --suite strong --s-grid geometric:nan:0.1:2",
+        "diagnose --k 1 --suite strong --quad-tol inf",
+        "diagnose --k 1 --suite strong --s-grid geometric:0.2:0.1:1",
+        "diagnose --k 1 --suite strong --s-grid geometric:0.2:0.2:3",
+        "ratio-table --k 1 --n-grid geometric:128:256:1",
+        "ratio-table --k 1 --n-grid geometric:128:128:3",
+        "family --k 1 --s 0.1 --theta-grid geometric:0.1:1:3",
+    ])
+    def test_exit_2_without_output(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert f"error: argument --{argv.split()[-2][2:]}:" in err
+
+    @pytest.mark.parametrize("spec, values", [
+        ("1:1:1", [1.0]),
+        ("2:-1:4", [2.0, 1.0, 0.0, -1.0]),
+    ])
+    def test_linear_grid_values(self, spec, values):
+        assert _grid()(spec) == values
+
+    def test_geometric_int_grid_values(self):
+        read = _grid(("geometric",), cast=int)
+        assert read("geometric:10:20:30") == list(range(10, 21))
+        assert read("geometric:128:128:1") == [128]
+
+
+def _cli_text(argv: list) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+_kinds = st.sampled_from(["unrestricted", "distinct"])
+_eps = st.floats(-15.0, -1.0).map(lambda e: repr(10.0**e))
+_cheap_argv = st.one_of(
+    st.tuples(st.just("constants"), st.just("--k"), st.integers(1, 8).map(str),
+              st.just("--m-max"), st.integers(-2, 10).map(str)),
+    st.tuples(st.just("asymptotic"), st.just("--kind"), _kinds,
+              st.just("--k"), st.integers(1, 6).map(str),
+              st.just("--n"), st.integers(1, 10**12).map(str),
+              st.just("--method"), st.sampled_from(["bd", "hr", "qk"]),
+              st.just("--eps"), _eps),
+    st.tuples(st.just("family"), st.just("--kind"), _kinds,
+              st.just("--k"), st.integers(1, 4).map(str),
+              st.just("--s"), st.floats(-1.7, 1.5).map(lambda e: repr(10.0**e)),
+              st.just("--eps"), _eps, st.just("--theta-grid"),
+              st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.integers(1, 4)).map(
+                  lambda t: f"{t[0]!r}:{t[0] if t[2] == 1 else t[1]!r}:{t[2]}")),
+    st.tuples(st.just("count"), st.just("--kind"), _kinds,
+              st.just("--k"), st.integers(1, 4).map(str),
+              st.just("--n-max"), st.integers(0, 200).map(str),
+              st.just("--format"), st.sampled_from(["csv", "json"]),
+              st.just("--method"), st.sampled_from(["dp", "recurrence"])),
+)
+
+
+class TestProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(argv=_cheap_argv)
+    def test_cheap_commands_strict_output(self, argv):
+        """Accepted arguments give strict, schema-valid, deterministic JSON or
+        CSV without NaN or infinities, or exit 1 or 2 with an error line."""
+        argv = list(argv)
+        code, out, err = _cli_text(argv)
+        if code != 0:
+            assert code in (1, 2) and out == ""
+            assert "error:" in err and "Traceback" not in err
+            return
+        assert _cli_text(argv) == (code, out, err)
+        if argv[0] in ("constants", "asymptotic") or "json" in argv:
+            payload = json.loads(out, parse_constant=_reject_constant)
+            schema = "count" if argv[0] == "count" else argv[0]
+            assert validate(payload, load_schema(f"{schema}.schema.json")) == []
+        else:
+            rows = [line.split(",") for line in out.rstrip("\n").split("\n")]
+            assert len({len(r) for r in rows}) == 1
+            assert all(math.isfinite(float(cell)) for r in rows[1:] for cell in r)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(parts=st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-3, 10**6).map(str),
+        st.sampled_from(["nan", "inf", "-inf", "", "x", "1e400", "-0", "1_0", "2.0"])),
+        min_size=2, max_size=4), n=st.integers(-2, 40), geometric=st.booleans())
+    @example(parts=["0", "inf"], n=3, geometric=False)
+    @example(parts=["-1e308", "1e308"], n=3, geometric=False)
+    @example(parts=["1", str(10**400)], n=3, geometric=True)
+    def test_grid_specs(self, parts, n, geometric):
+        """Every grid reader either refuses a spec or returns its finite values."""
+        spec = ":".join((["geometric"] if geometric else []) + parts + [str(n)])
+        readers = {"theta": _grid(),
+                   "s": _grid(("linear", "geometric"), positive=True),
+                   "n": _grid(("geometric",), cast=int)}
+        for name, read in readers.items():
+            try:
+                vals = read(spec)
+            except argparse.ArgumentTypeError:
+                continue
+            assert all(math.isfinite(v) for v in vals), name
+            if name == "n":
+                assert all(isinstance(v, int) for v in vals)
+                assert 1 <= len(vals) <= n and vals == sorted(set(vals))
+            else:
+                assert len(vals) == n
+            if name == "s":
+                assert all(v > 0 for v in vals)
 
 
 class TestTopLevel:

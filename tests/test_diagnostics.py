@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from powerparts import diagnostics
 from powerparts.bigcount import PartitionKind
 from powerparts.diagnostics import (CLT_S_GRID, DEFAULT_S_GRID,
                                     STRONG_GAUSS_GRID, TWL_S_GRID,
@@ -288,6 +289,36 @@ class TestSuites:
         a = run_suite(U, 1, "clt", draws=10**4, seed=11, s_grid=[0.2, 0.05])
         b = run_suite(U, 1, "clt", draws=10**4, seed=11, s_grid=[0.2, 0.05])
         assert a.metrics == b.metrics
+
+    @pytest.mark.parametrize("suite, grid, burn_in, verdict", [
+        ("gauss", DEFAULT_S_GRID, 2, "gaussianity_ratio_m3"),
+        ("bd", DEFAULT_S_GRID, 3, "bd_normalized_gap"),
+        ("strong", STRONG_GAUSS_GRID, 0, "strong_gauss_l1"),
+        ("clt", CLT_S_GRID, 0, "clt_ks"),
+    ])
+    def test_defaults_reach_report(self, monkeypatch, suite, grid, burn_in, verdict):
+        # the layers are looked up by module attribute at call time, so these
+        # stand-ins replace them; each metric then equals the grid itself
+        fakes = {
+            "gaussianity_ratios": lambda kind, k, s, m_max, eps: [s] * 4,
+            "bd_condition_check": lambda k, grid, eps: list(grid),
+            "bd_scaled_mean_gap": lambda k, grid, eps: [0.5] * len(grid),
+            "strong_gauss_l1": lambda kind, k, s, quad_tol, eps: s,
+            "clt_empirical_check": lambda kind, k, s, draws, seed, eps: s,
+        }
+        for name, fake in fakes.items():
+            monkeypatch.setattr(diagnostics, name, fake)
+        rep = run_suite(U, 1, suite)
+        assert rep.grid == grid and rep.metrics[verdict] == grid
+        assert rep.verdicts[verdict]["burn_in"] == burn_in
+        rep = run_suite(U, 1, suite, s_grid=[0.3, 0.2, 0.1], burn_in=1)
+        assert rep.grid == (0.3, 0.2, 0.1)
+        assert rep.verdicts[verdict]["burn_in"] == 1
+
+    @pytest.mark.parametrize("kind, suite", [(U, "em"), (D, "bd")])
+    def test_no_metrics_no_grid(self, kind, suite):
+        rep = run_suite(kind, 1, suite, s_grid=[0.2, 0.1])
+        assert rep.grid == () and rep.metrics == {}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerparts.bigcount import PartitionKind, count_partitions
 from powerparts.family import (SAMPLE_TAIL_EPS, FamilyPoint, TruncationError,
@@ -9,7 +11,7 @@ from powerparts.family import (SAMPLE_TAIL_EPS, FamilyPoint, TruncationError,
                                family_point, fulcrum, fulcrum_derivative, mean,
                                pgf_modulus_ratio, pmf, sample, variance)
 
-from _oracles import char_fn_from_table
+from _oracles import char_fn_from_table, mp_fulcrum, mp_rel_err
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -81,6 +83,22 @@ class TestFulcrum:
         assert abs(tight - loose) <= 1e-6
 
 
+class TestMpmathAudit:
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_fulcrum_40_digits(self, thresholds, kind):
+        fx = thresholds["mpmath_audit"]
+        grid = fx["fulcrum_grid"]
+        worst = [0.0] * (grid["m_max"] + 1)
+        for k in grid["k"]:
+            for s in grid["s"]:
+                refs = mp_fulcrum(kind, k, s, grid["m_max"], fx["dps"])
+                for m, ref in enumerate(refs):
+                    err = mp_rel_err(fulcrum(kind, k, -s, m=m).real, ref, fx["dps"])
+                    worst[m] = max(worst[m], err)
+        for m, err in enumerate(worst):
+            assert err <= fx[f"fulcrum_{kind.value}"][str(m)]["threshold"], m
+
+
 class TestFulcrumDerivative:
     def test_first_derivative_formula(self):
         direct = math.fsum(j * math.exp(-j) / (1.0 - math.exp(-j))
@@ -150,6 +168,15 @@ class TestMeanVariance:
         grid = [0.5 * 2.0**-i for i in range(8)]
         vals = [mean(kind, k, s) for s in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))  # decreasing s, growing mean
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), k=st.integers(1, 5),
+           log_s=st.floats(-3.0, 1.3), log_step=st.floats(-6.0, 0.0))
+    def test_mean_strictly_decreasing_property(self, kind, k, log_s, log_step):
+        # a relative step of 1e-6 moves the mean by about 1e-6 relative, far
+        # above the 1e-12 series tolerance
+        s = 10.0**log_s
+        assert mean(kind, k, s) > mean(kind, k, s * (1.0 + 10.0**log_step))
 
     @pytest.mark.parametrize("kind", [U, D])
     def test_variance_positive(self, kind):

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import pytest
 
 from powerparts.special import constants, gamma_fn, riemann_zeta
 
-from _oracles import zeta_bracket
+from _oracles import mp_rel_err, zeta_bracket
 
 
 class TestZeta:
@@ -112,3 +113,21 @@ class TestConstants:
             constants(0)
         with pytest.raises(ValueError):
             constants(2, m_max=1)
+
+
+class TestMpmathAudit:
+    def test_zeta_40_digits(self, thresholds):
+        fx = thresholds["mpmath_audit"]
+        with mpmath.workdps(fx["dps"]):
+            worst = max(mp_rel_err(riemann_zeta(1.0 + 1.0 / k),
+                                   mpmath.zeta(mpmath.mpf(1.0 + 1.0 / k)), fx["dps"])
+                        for k in range(1, 7))
+        assert worst <= fx["riemann_zeta"]["threshold"]
+
+    def test_gamma_40_digits(self, thresholds):
+        fx = thresholds["mpmath_audit"]
+        with mpmath.workdps(fx["dps"]):
+            worst = max(mp_rel_err(gamma_fn(m + 1.0 / k),
+                                   mpmath.gamma(mpmath.mpf(m + 1.0 / k)), fx["dps"])
+                        for k in range(1, 7) for m in range(9))
+        assert worst <= fx["gamma_fn"]["threshold"]
