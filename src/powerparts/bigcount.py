@@ -1,9 +1,11 @@
 """Exact coefficient tables for power-partition generating functions.
 
-Two independent exact algorithms are provided: a dense knapsack DP over the
-parts j^k (``count_partitions``) and a divisor-sum recurrence driven by the
-logarithmic derivative of the product form (``count_via_log_recurrence``).
-All coefficients are Python big integers; tables are immutable once built.
+Two independent exact algorithms are provided.  ``count_partitions`` runs
+Euler's pentagonal number recurrence for k = 1 (O(n^{3/2}) additions) and a
+dense knapsack DP over the parts j^k for k >= 2 (O(n^{1+1/k}) additions).
+``count_via_log_recurrence`` is a divisor-sum recurrence driven by the
+logarithmic derivative of the product form.  All coefficients are Python big
+integers; tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterator, Optional
 
 
@@ -80,7 +82,7 @@ def _parts(k: int, n_max: int) -> Iterator[int]:
         j += 1
 
 
-def count_partitions(kind: PartitionKind, k: int, n_max: int) -> CoeffTable:
+def _knapsack(kind: PartitionKind, k: int, n_max: int) -> list:
     """Dense knapsack DP over parts j^k <= n_max.
 
     Unrestricted: unbounded multiplicity, ascending update (per part p the
@@ -90,7 +92,6 @@ def count_partitions(kind: PartitionKind, k: int, n_max: int) -> CoeffTable:
     already final (ascending) or still untouched (descending), reproducing
     the scalar loop exactly.
     """
-    _validate_args(k, n_max)
     c = [0] * (n_max + 1)
     c[0] = 1
     for p in _parts(k, n_max):
@@ -98,7 +99,53 @@ def count_partitions(kind: PartitionKind, k: int, n_max: int) -> CoeffTable:
         for start in starts if kind is PartitionKind.UNRESTRICTED else reversed(starts):
             end = min(start + p, n_max + 1)
             c[start:end] = map(add, c[start:end], c[start - p:end - p])
-    return CoeffTable(kind=kind, k=k, n_max=n_max, coeffs=tuple(c))
+    return c
+
+
+def _pentagonal(n_max: int, stride: int, sign: int) -> list:
+    """Ascending (stride*g, add or sub) for the generalized pentagonal numbers
+    g = m(3m-1)/2, m = 1, -1, 2, -2, ..., with stride*g <= n_max; the
+    operation applies the sign sign*(-1)^m."""
+    terms = []
+    m = 1
+    while stride * m * (3 * m - 1) // 2 <= n_max:
+        op = add if sign * (-1) ** m > 0 else sub
+        terms += [(stride * g, op) for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2)
+                  if stride * g <= n_max]
+        m += 1
+    return terms
+
+
+def _euler(kind: PartitionKind, n_max: int) -> list:
+    """Euler's pentagonal recurrence for k = 1.
+
+    Multiplying the generating function by
+    prod_j (1 - x^j) = sum_m (-1)^m x^{m(3m-1)/2} leaves a seed series: 1 for
+    the unrestricted kind, prod_j (1 - x^{2j}) = sum_m (-1)^m x^{m(3m-1)} for
+    the distinct kind.  So a_n = seed_n - sum_{m != 0} (-1)^m a_{n - m(3m-1)/2},
+    about 2 sqrt(2n/3) big-int additions per n.
+    """
+    a = [1] + [0] * n_max
+    if kind is PartitionKind.DISTINCT:
+        for o, op in _pentagonal(n_max, 2, 1):
+            a[o] = op(0, 1)
+    terms = _pentagonal(n_max, 1, -1)
+    for n in range(1, n_max + 1):
+        v = a[n]
+        for o, op in terms:
+            if o > n:
+                break
+            v = op(v, a[n - o])
+        a[n] = v
+    return a
+
+
+def count_partitions(kind: PartitionKind, k: int, n_max: int) -> CoeffTable:
+    """Exact counts for n = 0..n_max: Euler's pentagonal recurrence for k = 1,
+    the knapsack DP over the parts j^k for k >= 2."""
+    _validate_args(k, n_max)
+    coeffs = _euler(kind, n_max) if k == 1 else _knapsack(kind, k, n_max)
+    return CoeffTable(kind=kind, k=k, n_max=n_max, coeffs=tuple(coeffs))
 
 
 def delta_k(k: int, n: int) -> int:

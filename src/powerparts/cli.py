@@ -20,9 +20,8 @@ from .bigcount import (PartitionKind, count_partitions,
 from .family import TruncationError, char_fn_normalized, mean, variance
 from .special import constants
 
-# ratio-table compute budgets (exact-table cost is dominated by k=1)
-RATIO_BUDGET = {1: 1 << 16}
-RATIO_BUDGET_DEFAULT = 1 << 17
+# ratio-table compute budget: the largest n of the grid, for every k
+RATIO_BUDGET = 1 << 17
 
 
 def _number(cast, above):
@@ -177,7 +176,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
 def _cmd_ratio_table(args: argparse.Namespace) -> int:
     kind, k = args.kind, args.k
     grid = args.n_grid
-    budget = args.max_n if args.max_n else RATIO_BUDGET.get(k, RATIO_BUDGET_DEFAULT)
+    budget = args.max_n if args.max_n else RATIO_BUDGET
     if grid[-1] > budget:
         raise UsageError(
             f"n-grid maximum {grid[-1]} exceeds the compute budget {budget} for "
@@ -207,6 +206,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     kwargs = dict(draws=args.draws, seed=args.seed, quad_tol=args.quad_tol,
                   burn_in=args.burn_in, eps=args.eps)
     if args.suite == "all":
+        if args.s_grid is not None:
+            raise UsageError("--s-grid applies to one suite, not to --suite all")
         reports = diag.run_all(args.kind, args.k, **kwargs)
     else:
         reports = {args.suite: diag.run_suite(args.kind, args.k, args.suite,
@@ -250,7 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact coefficient table")
     common(p)
     p.add_argument("--n-max", type=_number(int, -1), required=True)
-    p.add_argument("--method", choices=("dp", "recurrence"), default="dp")
+    p.add_argument("--method", choices=("dp", "recurrence"), default="dp",
+                   help="dp: the default exact table (Euler's pentagonal "
+                        "recurrence at k=1, the knapsack DP for k>=2); "
+                        "recurrence: the divisor-sum log recurrence")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_count)
 

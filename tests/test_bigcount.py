@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerparts.bigcount import (CoeffTable, PartitionKind, count_partitions,
-                                 count_via_log_recurrence, delta_k,
-                                 delta_sieve, epsilon_k, epsilon_sieve,
-                                 log_integer, verify_product_identity)
+from powerparts.bigcount import (CoeffTable, PartitionKind, _knapsack,
+                                 count_partitions, count_via_log_recurrence,
+                                 delta_k, delta_sieve, epsilon_k,
+                                 epsilon_sieve, log_integer,
+                                 verify_product_identity)
 
 from _oracles import brute_force_count
 
@@ -53,6 +54,21 @@ class TestCountPartitions:
             count_partitions(U, -2, 5)
         with pytest.raises(ValueError):
             count_partitions(U, 1, -1)
+
+
+class TestPentagonal:
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 3, 4096])
+    def test_equals_knapsack(self, kind, n_max):
+        assert count_partitions(kind, 1, n_max).coeffs == tuple(_knapsack(kind, 1, n_max))
+
+    def test_p_1000(self):
+        assert count_partitions(U, 1, 1000)[1000] == 24061467864032622473692149727991
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), n_max=st.integers(0, 1500))
+    def test_equals_knapsack_property(self, kind, n_max):
+        assert count_partitions(kind, 1, n_max).coeffs == tuple(_knapsack(kind, 1, n_max))
 
 
 class TestDivisorSums:

@@ -183,10 +183,19 @@ class TestRatioTable:
         assert len(out.strip().split("\n")) == 6
 
     def test_budget_refusal(self, capsys):
-        code, _, err = run_cli(capsys, "ratio-table", "--kind", "unrestricted",
-                               "--k", "1", "--n-grid", "geometric:128:131072:3")
-        assert code == 2
-        assert "budget" in err and "65536" in err
+        code, out, err = run_cli(capsys, "ratio-table", "--kind", "unrestricted",
+                                 "--k", "1", "--n-grid", "geometric:128:131073:3")
+        assert code == 2 and out == ""
+        assert "budget" in err and "131072" in err
+
+    def test_one_budget_for_every_k(self, capsys):
+        errs = []
+        for k in ("1", "2"):
+            code, out, err = run_cli(capsys, "ratio-table", "--k", k,
+                                     "--n-grid", "geometric:128:131073:3")
+            assert code == 2 and out == ""
+            errs.append(err.replace(f"k={k}", "k=K"))
+        assert errs[0] == errs[1]
 
     def test_budget_override(self, capsys):
         code, _, _ = run_cli(capsys, "ratio-table", "--kind", "unrestricted",
@@ -257,6 +266,12 @@ class TestDiagnose:
                                "--burn-in", "1")
         assert code == 0
         assert json.loads(out)["verdicts"]["strong_gauss_l1"]["pass"] is True
+
+    def test_all_refuses_s_grid(self, capsys):
+        code, out, err = run_cli(capsys, "diagnose", "--k", "1", "--suite", "all",
+                                 "--s-grid", "0.3:0.3:1", "--csv")
+        assert code == 2 and out == ""
+        assert "--s-grid" in err and "--suite all" in err
 
     def test_bad_suite(self, capsys):
         code, _, _ = run_cli(capsys, "diagnose", "--k", "1", "--suite", "bogus")
