@@ -20,8 +20,8 @@ from .bigcount import (PartitionKind, count_partitions,
 from .family import TruncationError, char_fn_normalized, mean, variance
 from .special import constants
 
-# ratio-table compute budget: the largest n of the grid, for every k
-RATIO_BUDGET = 1 << 17
+# compute budget of count and ratio-table: the largest n, for every k
+TABLE_BUDGET = 1 << 17
 
 
 def _number(cast, above):
@@ -107,15 +107,19 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _check_budget(args: argparse.Namespace, what: str, n: int, fix: str) -> None:
+    budget = args.max_n or TABLE_BUDGET
+    if n > budget:
+        raise UsageError(f"{what} {n} exceeds the compute budget {budget} for k={args.k}; "
+                         f"rerun with {fix} capped at {budget} (or raise --max-n)")
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.method == "recurrence":
-        table = count_via_log_recurrence(args.kind, args.k, args.n_max)
-    else:
-        table = count_partitions(args.kind, args.k, args.n_max)
-    if args.format == "json":
-        _emit(_json_dumps(table.to_json_dict()), args.output)
-    else:
-        _emit(table.to_csv(), args.output)
+    _check_budget(args, "--n-max", args.n_max, "--n-max")
+    count = count_via_log_recurrence if args.method == "recurrence" else count_partitions
+    table = count(args.kind, args.k, args.n_max)
+    _emit(_json_dumps(table.to_json_dict()) if args.format == "json" else table.to_csv(),
+          args.output)
     return 0
 
 
@@ -176,11 +180,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
 def _cmd_ratio_table(args: argparse.Namespace) -> int:
     kind, k = args.kind, args.k
     grid = args.n_grid
-    budget = args.max_n if args.max_n else RATIO_BUDGET
-    if grid[-1] > budget:
-        raise UsageError(
-            f"n-grid maximum {grid[-1]} exceeds the compute budget {budget} for "
-            f"k={k}; rerun with a grid capped at {budget} (or raise --max-n)")
+    _check_budget(args, "n-grid maximum", grid[-1], "a grid")
     table = count_partitions(kind, k, grid[-1])
     closed = "hr" if kind is PartitionKind.UNRESTRICTED else "qk"
     header = ("n,exact_log,hayman_exact_log,hayman_bd_log,closed_form_log,"
@@ -241,15 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "asymptotics and diagnostics for partitions into k-th powers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, kind_default="unrestricted"):
-        p.add_argument("--kind", type=_kind, default=PartitionKind.parse(kind_default))
+    def common(p, table=False):
+        p.add_argument("--kind", type=_kind, default=PartitionKind.UNRESTRICTED)
         p.add_argument("--k", type=_number(int, 0), required=True)
         p.add_argument("--output", default=None, help="write to file instead of stdout")
         p.add_argument("--eps", type=_number(float, 0.0), default=1e-12,
                        help="series tail tolerance")
+        if table:
+            p.add_argument("--max-n", type=_number(int, 0), default=None,
+                           help=f"largest n allowed (default {TABLE_BUDGET})")
 
     p = sub.add_parser("count", help="exact coefficient table")
-    common(p)
+    common(p, table=True)
     p.add_argument("--n-max", type=_number(int, -1), required=True)
     p.add_argument("--method", choices=("dp", "recurrence"), default="dp",
                    help="dp: the default exact table (Euler's pentagonal "
@@ -279,11 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_asymptotic)
 
     p = sub.add_parser("ratio-table", help="exact vs estimated log-counts over an n grid")
-    common(p)
+    common(p, table=True)
     p.add_argument("--n-grid", type=_grid(("geometric",), cast=int), required=True,
                    metavar="geometric:A:B:POINTS")
-    p.add_argument("--max-n", type=_number(int, 0), default=None,
-                   help="override the compute budget")
     p.set_defaults(func=_cmd_ratio_table)
 
     p = sub.add_parser("diagnose", help="run a diagnostics suite")
@@ -317,8 +318,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: invalid parameter: {exc}", file=sys.stderr)
         return 2
     except (TruncationError, sd.ConvergenceError, diag.QuadratureError,
-            ArithmeticError) as exc:
-        print(f"error: computation failed: {exc}", file=sys.stderr)
+            ArithmeticError, MemoryError) as exc:
+        print(f"error: computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,6 @@ are self-describing: every verdict carries the criterion it was judged by.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -16,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bigcount import PartitionKind
-from .family import (family_point, fulcrum, fulcrum_derivative, mean,
-                     pgf_modulus_ratio, sample, variance)
+from .family import (_vertical_line, char_fn_normalized, family_point, fulcrum,
+                     fulcrum_derivative, mean, sample, variance)
 from .special import constants
 
 DEFAULT_S_GRID = tuple(0.5 * 2.0**-i for i in range(9))
@@ -89,50 +88,52 @@ def fulcrum_asymptotic_check(kind: PartitionKind, k: int, m: int,
             for s in s_grid]
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
+def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                       tol: float, max_depth: int = 24,
                       max_evals: int = 200_000) -> tuple:
     """Adaptive Simpson with Richardson correction; returns (value, err_est).
 
+    f maps an array of nodes to the array of integrand values.  Each
+    refinement level is one call of f at the new nodes of all its
+    unconverged panels, and the accepted panels are summed right to left, the
+    order of a depth-first stack, so the sums do not depend on the batching.
     Raises QuadratureError if the tolerance is still unmet when a panel hits
-    max_depth or the evaluation budget runs out.
+    max_depth or a level would take the evaluations past max_evals.
     """
     if b <= a:
         return 0.0, 0.0
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    err = 0.0
-    bad = 0.0
+    fa, fm, fb = f(np.array([a, 0.5 * (a + b), b])).tolist()
+    # a panel: (index among the 2^depth of its level, a, b, f(a), f(mid), f(b),
+    # Simpson value, tol, its share of its parent's error estimate)
+    level = [(0, a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, math.inf)]
+    done = []  # (index scaled to depth max_depth, value, err, unmet err)
     evals = 3
-    while stack:
-        a0, b0, fa0, fm0, fb0, whole0, tol0, depth = stack.pop()
-        m0 = 0.5 * (a0 + b0)
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = f(lm)
-        frm = f(rm)
-        evals += 2
-        left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        delta = left + right - whole0
-        converged = abs(delta) <= 15.0 * tol0
-        if converged or depth >= max_depth or evals >= max_evals:
-            total += left + right + delta / 15.0
-            err += abs(delta) / 15.0
-            if not converged:
-                bad += abs(delta) / 15.0
-            if evals >= max_evals and stack:
-                # budget exhausted: flush remaining panels unrefined and fail
-                for (_a1, _b1, _fa1, _fm1, _fb1, whole1, _tol1, _d1) in stack:
-                    total += whole1
-                stack.clear()
-                bad += math.inf
-        else:
-            stack.append((a0, m0, fa0, flm, fm0, left, tol0 / 2.0, depth + 1))
-            stack.append((m0, b0, fm0, frm, fb0, right, tol0 / 2.0, depth + 1))
+    for depth in range(max_depth + 1):
+        if not level or evals + 2 * len(level) > max_evals:
+            done += [(p[0] << (max_depth - depth), p[6], p[8], math.inf) for p in level]
+            break
+        mids = [0.5 * (p[1] + p[2]) for p in level]
+        vals = f(np.array([0.5 * (p[1] + m0) for p, m0 in zip(level, mids)]
+                          + [0.5 * (m0 + p[2]) for p, m0 in zip(level, mids)])).tolist()
+        evals += len(vals)
+        refined = []
+        for (i, a0, b0, fa0, fm0, fb0, whole0, tol0, _), m0, flm, frm in zip(
+                level, mids, vals, vals[len(level):]):
+            left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
+            right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
+            delta = left + right - whole0
+            converged = abs(delta) <= 15.0 * tol0
+            if converged or depth == max_depth:
+                done.append((i << (max_depth - depth), left + right + delta / 15.0,
+                             abs(delta) / 15.0, 0.0 if converged else abs(delta) / 15.0))
+            else:
+                share = abs(delta) / 30.0
+                refined += [(2 * i, a0, m0, fa0, flm, fm0, left, tol0 / 2.0, share),
+                            (2 * i + 1, m0, b0, fm0, frm, fb0, right, tol0 / 2.0, share)]
+        level = refined
+    total = err = bad = 0.0
+    for _, value, e, unmet in sorted(done, reverse=True):
+        total, err, bad = total + value, err + e, bad + unmet
     if bad > tol:
         raise QuadratureError(achieved=bad if bad < math.inf else err, estimate=total)
     return total, err
@@ -148,20 +149,16 @@ def strong_gauss_l1(kind: PartitionKind, k: int, s: float,
     interval is split at theta = split_c * s^(-1/(2k)) where the modulus
     bound changes regime.
     """
-    if not s > 0.0:
-        raise ValueError(f"requires s > 0, got {s!r}")
     if not quad_tol > 0.0:
         raise ValueError(f"requires quad_tol > 0, got {quad_tol!r}")
-    m = mean(kind, k, s, eps)
-    sigma = math.sqrt(variance(kind, k, s, eps))
-    base = fulcrum(kind, k, complex(-s), eps).real
+    moments = (mean(kind, k, s, eps), variance(kind, k, s, eps))
 
-    def integrand(theta: float) -> float:
-        val = fulcrum(kind, k, complex(-s, theta / sigma), eps)
-        cf = cmath.exp(complex(val.real - base, val.imag - theta * m / sigma))
-        return abs(cf - math.exp(-0.5 * theta * theta))
+    def integrand(theta: np.ndarray) -> np.ndarray:
+        cfs = char_fn_normalized(kind, k, s, theta, eps, moments).tolist()
+        return np.array([abs(cf - math.exp(-0.5 * t * t))
+                         for cf, t in zip(cfs, theta.tolist())])
 
-    theta_max = math.pi * sigma
+    theta_max = math.pi * math.sqrt(moments[1])
     theta_split = min(split_c * s ** (-1.0 / (2.0 * k)), theta_max)
     total = 0.0
     # seed panels keep the sampler from stepping over narrow features
@@ -199,7 +196,8 @@ def default_phi_grid(s: float, inner: int = 48, outer: int = 200) -> np.ndarray:
 def twl_bound_scan(k: int, s: float, phi_grid: Optional[Sequence[float]] = None,
                    kind: PartitionKind = PartitionKind.UNRESTRICTED,
                    eps: float = 1e-12) -> TwlScan:
-    """Fit the largest d1, d2 making the two-regime bound hold on the grid."""
+    """Fit the largest d1, d2 making the two-regime bound hold on the grid;
+    -log |f|/f = F(-s) - Re F(-s + i*phi) stays finite where |f|/f underflows."""
     if not 0.0 < s < math.log(2.0):
         raise ValueError(f"requires 0 < s < ln 2, got {s!r}")
     grid = np.asarray(phi_grid if phi_grid is not None else default_phi_grid(s),
@@ -207,8 +205,8 @@ def twl_bound_scan(k: int, s: float, phi_grid: Optional[Sequence[float]] = None,
     if grid.size == 0 or not np.all(np.diff(grid) > 0) or grid[0] <= 0 or grid[-1] > math.pi + 1e-12:
         raise ValueError("phi grid must be strictly increasing inside (0, pi]")
     knee = 2.0 * math.pi * s
-    neg_log = np.array([-math.log(r)
-                        for r in pgf_modulus_ratio(kind, k, s, grid, eps).tolist()])
+    vals = _vertical_line(kind, k, s, grid, eps)
+    neg_log = np.array([vals[0].real - v.real for v in vals[1:]])
     violations = int(np.sum(neg_log <= 0.0))
     inner = grid <= knee
     outer = ~inner

@@ -100,3 +100,61 @@ def mp_rel_err(value: float, ref, dps: int = 40) -> float:
     """|value - ref| / |ref| for a float against an mpmath reference."""
     with mpmath.workdps(dps):
         return float(abs((mpmath.mpf(value) - ref) / ref))
+
+
+class QuadratureFailed(RuntimeError):
+    """depth_first_simpson left its tolerance unmet."""
+
+    def __init__(self, achieved: float, estimate: float):
+        super().__init__(f"error estimate {achieved:g} (integral estimate {estimate:g})")
+        self.achieved = achieved
+        self.estimate = estimate
+
+
+def depth_first_simpson(f, a: float, b: float, tol: float, max_depth: int = 24,
+                        max_evals: int = 200_000) -> tuple:
+    """Adaptive Simpson with Richardson correction, one scalar f(x) call per
+    node and a depth-first panel stack; returns (value, err_est).
+
+    Raises QuadratureFailed if the tolerance is still unmet when a panel hits
+    max_depth or the evaluation budget runs out (the panels left on the stack
+    are then added unrefined).
+    """
+    if b <= a:
+        return 0.0, 0.0
+    mid = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(mid), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
+    total = 0.0
+    err = 0.0
+    bad = 0.0
+    evals = 3
+    while stack:
+        a0, b0, fa0, fm0, fb0, whole0, tol0, depth = stack.pop()
+        m0 = 0.5 * (a0 + b0)
+        lm = 0.5 * (a0 + m0)
+        rm = 0.5 * (m0 + b0)
+        flm = f(lm)
+        frm = f(rm)
+        evals += 2
+        left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
+        right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
+        delta = left + right - whole0
+        converged = abs(delta) <= 15.0 * tol0
+        if converged or depth >= max_depth or evals >= max_evals:
+            total += left + right + delta / 15.0
+            err += abs(delta) / 15.0
+            if not converged:
+                bad += abs(delta) / 15.0
+            if evals >= max_evals and stack:
+                for (_a1, _b1, _fa1, _fm1, _fb1, whole1, _tol1, _d1) in stack:
+                    total += whole1
+                stack.clear()
+                bad += math.inf
+        else:
+            stack.append((a0, m0, fa0, flm, fm0, left, tol0 / 2.0, depth + 1))
+            stack.append((m0, b0, fm0, frm, fb0, right, tol0 / 2.0, depth + 1))
+    if bad > tol:
+        raise QuadratureFailed(achieved=bad if bad < math.inf else err, estimate=total)
+    return total, err

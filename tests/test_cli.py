@@ -62,6 +62,30 @@ class TestCount:
         assert code == 0 and out == ""
         assert target.read_text().startswith("n,coeff\n0,1\n")
 
+    @pytest.mark.parametrize("method", ["dp", "recurrence"])
+    def test_budget_refusal(self, capsys, method):
+        # refused before any table is allocated
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", "131073",
+                                 "--method", method)
+        assert code == 2 and out == ""
+        assert "budget" in err and "131072" in err and "--max-n" in err
+
+    def test_max_n_sets_the_budget(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", "11",
+                                 "--max-n", "10")
+        assert code == 2 and out == "" and "budget 10 " in err
+        code, out, _ = run_cli(capsys, "count", "--k", "1", "--n-max", "10",
+                               "--max-n", "10")
+        assert code == 0 and out.endswith("\n10,42\n")
+
+    @pytest.mark.parametrize("method", ["dp", "recurrence"])
+    def test_memory_error_exit_one(self, capsys, method):
+        # a 10^18-entry table fails its first allocation at once
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", str(10**18),
+                                 "--max-n", str(10**18), "--method", method)
+        assert code == 1 and out == ""
+        assert err == "error: computation failed: MemoryError\n"
+
 
 class TestConstants:
     def test_beta_k1(self, capsys):
@@ -266,6 +290,17 @@ class TestDiagnose:
                                "--burn-in", "1")
         assert code == 0
         assert json.loads(out)["verdicts"]["strong_gauss_l1"]["pass"] is True
+
+    def test_twl_small_s(self, capsys):
+        # |f|/f underflows to 0 on this grid; -log |f|/f is read directly
+        code, out, _ = run_cli(capsys, "diagnose", "--kind", "unrestricted", "--k", "1",
+                               "--suite", "twl", "--s-grid", "0.002:0.002:1")
+        assert code == 0
+        payload = json.loads(out)
+        assert math.isclose(payload["metrics"]["twl_d1"][0], 0.0406, rel_tol=1e-3)
+        assert math.isclose(payload["metrics"]["twl_d2"][0], 1.233, rel_tol=1e-3)
+        assert payload["metrics"]["twl_violations"] == [0.0]
+        assert payload["verdicts"]["twl_bound"]["pass"] is True
 
     def test_all_refuses_s_grid(self, capsys):
         code, out, err = run_cli(capsys, "diagnose", "--k", "1", "--suite", "all",

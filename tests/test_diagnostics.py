@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerparts import diagnostics
 from powerparts.bigcount import PartitionKind
@@ -15,7 +18,10 @@ from powerparts.diagnostics import (CLT_S_GRID, DEFAULT_S_GRID,
                                     fulcrum_asymptotic_check,
                                     gaussianity_ratios, run_all, run_suite,
                                     strong_gauss_l1, twl_bound_scan)
-from powerparts.family import char_fn_normalized, pgf_modulus_ratio
+from powerparts.family import (char_fn_normalized, fulcrum, mean,
+                               pgf_modulus_ratio, variance)
+
+from _oracles import QuadratureFailed, depth_first_simpson
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -115,11 +121,133 @@ class TestAdaptiveSimpson:
         assert math.isclose(val, 4.0, rel_tol=1e-12)
 
     def test_gaussian_integral(self):
-        val, _ = _adaptive_simpson(lambda x: math.exp(-x * x / 2.0), 0.0, 40.0, 1e-10)
+        val, _ = _adaptive_simpson(lambda x: np.exp(-x * x / 2.0), 0.0, 40.0, 1e-10)
         assert math.isclose(val, math.sqrt(math.pi / 2.0), rel_tol=1e-9)
 
     def test_empty_interval(self):
         assert _adaptive_simpson(math.sin, 1.0, 1.0, 1e-8) == (0.0, 0.0)
+
+
+def _strong_integrand(kind, k, s):
+    """The strong suite's integrand over an array of theta, and pi*sigma."""
+    moments = (mean(kind, k, s), variance(kind, k, s))
+
+    def f(theta):
+        cfs = char_fn_normalized(kind, k, s, theta, moments=moments).tolist()
+        return np.array([abs(cf - math.exp(-0.5 * t * t)) for cf, t in zip(cfs, theta.tolist())])
+
+    return f, math.pi * math.sqrt(moments[1])
+
+
+def _depth_first_strong_gauss_l1(kind, k, s, quad_tol):
+    """strong_gauss_l1 from one scalar fulcrum call per node, integrated by the
+    depth-first reference rule on the same seed panels."""
+    m = mean(kind, k, s)
+    sigma = math.sqrt(variance(kind, k, s))
+    base = fulcrum(kind, k, complex(-s)).real
+
+    def integrand(theta):
+        val = fulcrum(kind, k, complex(-s, theta / sigma))
+        cf = cmath.exp(complex(val.real - base, val.imag - theta * m / sigma))
+        return abs(cf - math.exp(-0.5 * theta * theta))
+
+    theta_max = math.pi * sigma
+    theta_split = min(s ** (-1.0 / (2.0 * k)), theta_max)
+    total = 0.0
+    for lo, hi, panels in ((0.0, theta_split, 4), (theta_split, theta_max, 8)):
+        edges = np.linspace(lo, hi, panels + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            total += depth_first_simpson(integrand, float(a), float(b), quad_tol / 48.0)[0]
+    return 2.0 * total
+
+
+# s = 0.503465 is where the rule accepts a panel too early (an error of about
+# 1.7e-4); the last three were drawn at random from (0.02, ln 2)
+IDENTITY_S = (0.503465, 0.05, 0.171893, 0.664738, 0.339307)
+
+
+class TestLevelwiseSimpson:
+    """One integrand call per refinement level gives the depth-first rule's
+    (value, err) bit for bit, and the same failures."""
+
+    @pytest.mark.parametrize("s", IDENTITY_S)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_strong_gauss_l1_identity(self, kind, k, s):
+        for quad_tol in (1e-6, 1e-8):
+            assert (strong_gauss_l1(kind, k, s, quad_tol=quad_tol)
+                    == _depth_first_strong_gauss_l1(kind, k, s, quad_tol))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), shape=st.sampled_from(["poly", "gauss", "abs_cos", "strong"]),
+           log_tol=st.floats(-12.0, -3.0))
+    def test_matches_depth_first(self, data, shape, log_tol):
+        lo, hi, width = -5.0, 5.0, 10.0
+        if shape == "poly":
+            coeffs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+            f = lambda x: np.polyval(coeffs, x)
+            lo, hi, width = -2.0, 2.0, 4.0
+        elif shape == "gauss":
+            f = lambda x: np.exp(-0.5 * x * x)
+        elif shape == "abs_cos":  # kinks at the zeros of cos: sharp dips
+            omega = data.draw(st.floats(1.0, 20.0))
+            f = lambda x: np.abs(np.cos(omega * x))
+        else:
+            kind = data.draw(st.sampled_from([U, D]))
+            k = data.draw(st.integers(1, 2))
+            f, hi = _strong_integrand(kind, k, data.draw(st.floats(0.05, 0.6)))
+            lo, width = 0.0, 1.0
+        a = data.draw(st.floats(lo, hi))
+        b = min(hi, a + data.draw(st.floats(0.0, width)))
+        tol = 10.0 ** log_tol
+        try:
+            expected = depth_first_simpson(lambda x: float(f(np.array([x]))[0]), a, b, tol)
+        except QuadratureFailed as failed:
+            with pytest.raises(QuadratureError) as exc:
+                _adaptive_simpson(f, a, b, tol)
+            assert (exc.value.achieved, exc.value.estimate) == (failed.achieved, failed.estimate)
+        else:
+            assert _adaptive_simpson(f, a, b, tol) == expected
+
+
+class TestStrongCallCount:
+    """strong_gauss_l1 calls char_fn_normalized once per refinement level of
+    each of its 12 seed panels, plus once for each panel's start."""
+
+    @staticmethod
+    def _counting(monkeypatch, inner=char_fn_normalized) -> list:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[3]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "char_fn_normalized", counted)
+        return calls
+
+    def test_sweep_strong_points(self, monkeypatch):
+        # the 12 strong points of the diagnostics-sweep benchmark's round 0:
+        # geometric:0.5:0.04:3 for both kinds and k = 1, 2
+        calls = self._counting(monkeypatch)
+        grid = [0.5 * (0.04 / 0.5) ** (i / 2) for i in range(3)]
+        for kind in (U, D):
+            for k in (1, 2):
+                for s in grid:
+                    before = len(calls)
+                    strong_gauss_l1(kind, k, s)
+                    assert len(calls) - before <= 12 * 26
+        assert len(calls) < 1000
+
+    def test_budget_stops_before_a_level(self, monkeypatch):
+        # a stand-in too wild to converge on any panel: the panels double each
+        # level, and the level that would pass 200,000 evaluations (level
+        # 16) is never evaluated
+        calls = self._counting(
+            monkeypatch, lambda kind, k, s, theta, eps, moments: np.exp(1e6j * theta))
+        with pytest.raises(QuadratureError) as exc:
+            strong_gauss_l1(U, 1, 0.2, quad_tol=1e-300)
+        assert calls == [3] + [2 * 2**level for level in range(16)]
+        assert 0.0 < exc.value.achieved < math.inf and exc.value.estimate > 0.0
 
 
 class TestTwlScan:
@@ -149,6 +277,28 @@ class TestTwlScan:
             at_knee = pgf_modulus_ratio(U, k, s, 2.0 * math.pi * s)
             assert at_pi < at_inner
             assert at_knee < at_pi
+
+    def test_small_s_where_the_ratio_underflows(self):
+        s = 0.002
+        assert np.min(pgf_modulus_ratio(U, 1, s, default_phi_grid(s))) == 0.0
+        scan = twl_bound_scan(1, s)
+        assert math.isclose(scan.d1, 0.0406, rel_tol=1e-3)
+        assert math.isclose(scan.d2, 1.233, rel_tol=1e-3)
+        assert scan.violations == 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_agrees_with_the_modulus_ratio(self, kind, k):
+        # where |f|/f does not underflow, d1 and d2 from -log of it agree
+        for s in TWL_S_GRID + (0.06, 0.02):
+            scan = twl_bound_scan(k, s, kind=kind)
+            grid = default_phi_grid(s)
+            neg_log = -np.log(pgf_modulus_ratio(kind, k, s, grid))
+            inner = grid <= 2.0 * math.pi * s
+            d1 = np.min(neg_log[inner] * s ** (2.0 + 1.0 / k) / grid[inner] ** 2)
+            d2 = np.min(neg_log[~inner] * s ** (1.0 / k))
+            assert math.isclose(scan.d1, d1, rel_tol=1e-13)
+            assert math.isclose(scan.d2, d2, rel_tol=1e-13)
 
     def test_distinct_is_exploratory(self):
         scan = twl_bound_scan(2, 0.1, kind=D)
