@@ -11,9 +11,8 @@ from .diagnostics import (DiagnosticsReport, QuadratureError,
                           fulcrum_asymptotic_check, gaussianity_ratios,
                           run_all, run_suite, strong_gauss_l1, twl_bound_scan)
 from .family import (FamilyPoint, SeriesTruncation, TruncationError,
-                     char_fn_normalized, family_point, fulcrum,
-                     fulcrum_derivative, mean, pgf_modulus_ratio, pmf, sample,
-                     variance)
+                     char_fn_normalized, family_point, fulcrum, mean,
+                     pgf_modulus_ratio, pmf, sample, variance)
 from .saddle import (ConvergenceError, EstimateFormula, LogEstimate,
                      SaddleMethod, SaddleResult, bd_saddle, exact_saddle,
                      hayman_estimate, hr_closed_form, qk_closed_form,
@@ -32,7 +31,7 @@ __all__ = [
     "ConstantSet", "constants", "gamma_fn", "riemann_zeta",
     # family
     "FamilyPoint", "SeriesTruncation", "TruncationError", "char_fn_normalized",
-    "family_point", "fulcrum", "fulcrum_derivative", "mean",
+    "family_point", "fulcrum", "mean",
     "pgf_modulus_ratio", "pmf", "sample", "variance",
     # saddle
     "ConvergenceError", "EstimateFormula", "LogEstimate", "SaddleMethod",

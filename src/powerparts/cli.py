@@ -17,11 +17,12 @@ from . import diagnostics as diag
 from . import saddle as sd
 from .bigcount import (PartitionKind, count_partitions,
                        count_via_log_recurrence, log_integer)
-from .family import TruncationError, char_fn_normalized, mean, variance
+from .family import TruncationError, char_fn_normalized, family_point
 from .special import constants
 
-# compute budget of count and ratio-table: the largest n, for every k
-TABLE_BUDGET = 1 << 17
+# compute budget of count and ratio-table per table method (ratio-table's is
+# dp): the largest n, for every k; the log recurrence is quadratic in n
+TABLE_BUDGET = {"dp": 1 << 17, "recurrence": 1 << 13}
 
 
 def _number(cast, above):
@@ -108,7 +109,7 @@ def _json_dumps(obj) -> str:
 
 
 def _check_budget(args: argparse.Namespace, what: str, n: int, fix: str) -> None:
-    budget = args.max_n or TABLE_BUDGET
+    budget = args.max_n or TABLE_BUDGET[getattr(args, "method", "dp")]
     if n > budget:
         raise UsageError(f"{what} {n} exceeds the compute budget {budget} for k={args.k}; "
                          f"rerun with {fix} capped at {budget} (or raise --max-n)")
@@ -130,14 +131,12 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    s = args.s
-    m = mean(args.kind, args.k, s, args.eps)
-    v = variance(args.kind, args.k, s, args.eps)
+    pt = family_point(args.kind, args.k, args.s, args.eps)
     thetas = args.theta_grid if args.theta_grid is not None else [0.0]
-    cfs = char_fn_normalized(args.kind, args.k, s, thetas, args.eps, moments=(m, v))
+    cfs = char_fn_normalized(pt, thetas)
     lines = ["s,mean,variance,theta,cf_real,cf_imag"]
     for theta, cf in zip(thetas, cfs.tolist()):
-        lines.append(",".join([_fmt(s), _fmt(m), _fmt(v), _fmt(theta),
+        lines.append(",".join([_fmt(pt.s), _fmt(pt.mean), _fmt(pt.variance), _fmt(theta),
                                _fmt(cf.real), _fmt(cf.imag)]))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -249,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="series tail tolerance")
         if table:
             p.add_argument("--max-n", type=_number(int, 0), default=None,
-                           help=f"largest n allowed (default {TABLE_BUDGET})")
+                           help=f"largest n allowed (default {TABLE_BUDGET['dp']}, "
+                                f"{TABLE_BUDGET['recurrence']} for count --method recurrence)")
 
     p = sub.add_parser("count", help="exact coefficient table")
     common(p, table=True)

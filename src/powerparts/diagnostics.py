@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bigcount import PartitionKind
-from .family import (_vertical_line, char_fn_normalized, family_point, fulcrum,
-                     fulcrum_derivative, mean, sample, variance)
+from .family import (_derivatives, _line, char_fn_normalized, family_point,
+                     fulcrum, mean, sample, variance)
 from .special import constants
 
 DEFAULT_S_GRID = tuple(0.5 * 2.0**-i for i in range(9))
@@ -67,11 +67,8 @@ def gaussianity_ratios(kind: PartitionKind, k: int, s: float, m_max: int = 6,
     """F^(j)(-s) / F''(-s)^(j/2) for j = 3..m_max; all should vanish as s -> 0."""
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
-    var = variance(kind, k, s, eps)
-    out = []
-    for j in range(3, m_max + 1):
-        out.append(fulcrum_derivative(kind, k, j, s, eps) / var ** (j / 2.0))
-    return out
+    var, *higher = _derivatives(kind, k, s, range(2, m_max + 1), eps)
+    return [d / var ** (j / 2.0) for j, d in enumerate(higher, 3)]
 
 
 def fulcrum_asymptotic_check(kind: PartitionKind, k: int, m: int,
@@ -151,14 +148,14 @@ def strong_gauss_l1(kind: PartitionKind, k: int, s: float,
     """
     if not quad_tol > 0.0:
         raise ValueError(f"requires quad_tol > 0, got {quad_tol!r}")
-    moments = (mean(kind, k, s, eps), variance(kind, k, s, eps))
+    pt = family_point(kind, k, s, eps)
 
     def integrand(theta: np.ndarray) -> np.ndarray:
-        cfs = char_fn_normalized(kind, k, s, theta, eps, moments).tolist()
+        cfs = char_fn_normalized(pt, theta).tolist()
         return np.array([abs(cf - math.exp(-0.5 * t * t))
                          for cf, t in zip(cfs, theta.tolist())])
 
-    theta_max = math.pi * math.sqrt(moments[1])
+    theta_max = math.pi * math.sqrt(pt.variance)
     theta_split = min(split_c * s ** (-1.0 / (2.0 * k)), theta_max)
     total = 0.0
     # seed panels keep the sampler from stepping over narrow features
@@ -205,8 +202,8 @@ def twl_bound_scan(k: int, s: float, phi_grid: Optional[Sequence[float]] = None,
     if grid.size == 0 or not np.all(np.diff(grid) > 0) or grid[0] <= 0 or grid[-1] > math.pi + 1e-12:
         raise ValueError("phi grid must be strictly increasing inside (0, pi]")
     knee = 2.0 * math.pi * s
-    vals = _vertical_line(kind, k, s, grid, eps)
-    neg_log = np.array([vals[0].real - v.real for v in vals[1:]])
+    pt = family_point(kind, k, s, eps)
+    neg_log = np.array([pt.log_f - v.real for v in _line(pt, grid)])
     violations = int(np.sum(neg_log <= 0.0))
     inner = grid <= knee
     outer = ~inner

@@ -2,9 +2,10 @@
 
 Everything here is driven by the fulcrum F(z) = ln f(e^z) of the product
 form: for the unrestricted kind F(z) = sum_j -Log(1 - e^(j^k z)) on
-Re z < 0, and the distinct kind is evaluated as F(z) - F(2z).  Mean and
-variance of the family at t = e^(-s) are the first and second derivatives
-of the fulcrum at -s.
+Re z < 0, and the distinct kind is evaluated as F(z) - F(2z).  At
+t = e^(-s), ln f(t), the mean and the variance of the family are F(-s) and
+the first and second derivatives of the fulcrum at -s: one real-axis pass
+sums the three, and a FamilyPoint carries them.
 
 Series are truncated with a certified tail bound (recorded in
 SeriesTruncation) and accumulated with math.fsum over numpy-generated
@@ -18,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,7 +30,6 @@ DERIVATIVE_ORDER_CAP = 8
 SAMPLE_TAIL_EPS = 1e-9
 _BLOCK = 1 << 15  # elements in one block of the points-by-parts outer product
 _FSUM_CHUNK = 4096  # floats converted at a time for math.fsum
-_CACHED_TERMS = 4096  # longer power arrays are rebuilt, not kept: cheap next to their sum
 
 _LN2 = math.log(2.0)
 
@@ -58,11 +58,13 @@ class SeriesTruncation:
 
 @dataclass(frozen=True)
 class FamilyPoint:
-    """A family parameter s > 0 (t = e^(-s)) with cached mean and variance."""
+    """A family parameter s > 0 (t = e^(-s)) with ln f(t) = F(-s), the mean
+    and the variance."""
 
     kind: PartitionKind
     k: int
     s: float
+    log_f: float
     mean: float
     variance: float
     tail_eps: float
@@ -111,10 +113,10 @@ def _tail_certificate(k: int, s: float, terms: int, weight: int, poly_at_one: fl
 
 
 @lru_cache(maxsize=4096)
-def _series_terms(k: int, s: float, eps: float, weight: int = 0,
-                  poly_at_one: float = 1.0) -> SeriesTruncation:
-    """Smallest certified factor count J with tail <= eps, starting from the
-    closed-form seed e^(-J^k s) <= eps (1 - e^(-s))."""
+def _series_terms(k: int, s: float, eps: float, m: int = 0) -> SeriesTruncation:
+    """Smallest certified factor count J with tail <= eps for the series of
+    the m-th derivative (m = 0: the value, whose summands h satisfy h <= u),
+    starting from the closed-form seed e^(-J^k s) <= eps (1 - e^(-s))."""
     if not s > 0.0:
         raise ValueError(f"requires s > 0, got {s!r}")
     if not eps > 0.0:
@@ -122,8 +124,9 @@ def _series_terms(k: int, s: float, eps: float, weight: int = 0,
     target = eps * (-math.expm1(-s))
     seed = (max(math.log(1.0 / target), 1.0) / s) ** (1.0 / k)
     j = max(8, math.ceil(seed))
+    poly_at_one = float(sum(_h_deriv_poly(m))) if m else 1.0
     while True:
-        bound = _tail_certificate(k, s, j, weight, poly_at_one)
+        bound = _tail_certificate(k, s, j, m * k, poly_at_one)
         if bound <= eps:
             return SeriesTruncation(eps=eps, terms=j, tail_bound=bound)
         if j >= SERIES_CAP:
@@ -131,19 +134,18 @@ def _series_terms(k: int, s: float, eps: float, weight: int = 0,
         j = min(SERIES_CAP, max(j + 8, int(j * 1.3)))
 
 
-@lru_cache(maxsize=2)  # a quadrature at one s (two for the distinct kind) reuses it
 def _part_powers(k: int, terms: int) -> np.ndarray:
     j = np.arange(1, terms + 1, dtype=np.float64)
-    powers = j**k if k > 1 else j
-    powers.flags.writeable = False
-    return powers
+    return j**k if k > 1 else j
 
 
-def _poly_eval(coeffs: tuple, u: np.ndarray) -> np.ndarray:
+def _terms(m: int, u: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """j^(mk) p_m(u): the per-part terms of the m-th derivative, m >= 1,
+    at u = 1/(e^(-zp) - 1)."""
     val = np.zeros_like(u)
-    for c in reversed(coeffs):
+    for c in reversed(_h_deriv_poly(m)):
         val = val * u + c
-    return val
+    return val * powers**m
 
 
 def _fsum(vals: np.ndarray) -> float:
@@ -155,54 +157,68 @@ def _fsum(vals: np.ndarray) -> float:
         vals[i:i + _FSUM_CHUNK].tolist() for i in range(0, vals.size, _FSUM_CHUNK)))
 
 
+def _axis(k: int, s: float, orders: list) -> list:
+    """F^(m)(-s) (m = 0: the value F(-s)) of the unrestricted fulcrum for
+    each (m, eps) of orders, in real arithmetic from one pass.  The parts'
+    powers, expm1(-j^k s) and exp(-j^k s) are built once, at the largest
+    truncation among the orders, and order m sums the first J_m terms, those
+    of its own truncation: each value is that of a pass for it alone."""
+    terms = [_series_terms(k, s, eps, m).terms for m, eps in orders]
+    powers = _part_powers(k, max(terms))
+    zp = powers * -s
+    em1 = np.expm1(zp)
+    u = np.exp(zp) / -em1
+    # the value's summands are Log(1 - e^zp): negating their correctly rounded sum is exact
+    return [_fsum(_terms(m, u[:j], powers[:j])) if m else -_fsum(np.log(-em1[:j]))
+            for (m, _), j in zip(orders, terms)]
+
+
 def _summands(m: int, zp: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Per-part terms at the exponents zp = j^k z: their sum is the m-th
-    derivative for m >= 1 and minus the value for m = 0.
-
-    m = 0: Log(1 - e^zp), in real arithmetic on the real axis.  m >= 1:
-    j^(mk) p_m(u) with u = 1/(e^(-zp) - 1), computed as e^zp / (1 - e^zp),
-    which never overflows on Re zp < 0."""
+    """Per-part terms at the complex exponents zp = j^k z: their sum is the
+    m-th derivative for m >= 1 and minus the value, Log(1 - e^zp), for m = 0.
+    u = 1/(e^(-zp) - 1) is computed as e^zp / (1 - e^zp), which never
+    overflows on Re zp < 0."""
     if m == 0:
-        if zp.dtype.kind == "f":
-            return np.log(-np.expm1(zp))
         return np.log1p(-np.exp(zp))
-    u = np.exp(zp) / -np.expm1(zp)
-    return _poly_eval(_h_deriv_poly(m), u) * powers**m
+    return _terms(m, np.exp(zp) / -np.expm1(zp), powers)
 
 
-def _series(k: int, m: int, z: list, eps: float) -> list:
-    """m-th derivative (m = 0: the value) of the unrestricted fulcrum at each
-    point of z, a list of complex points that share one real part -s < 0
-    and so one truncation.  The points on the real axis are all -s and share
-    one sum in real arithmetic; the others are summed in blocks of the
+def _series(k: int, orders: list, z: list) -> list:
+    """For each (m, eps) of orders, the m-th derivative (m = 0: the value)
+    of the unrestricted fulcrum at each point of z, a list of complex points
+    that share one real part -s < 0 and so one truncation per order.  The
+    points on the real axis are all -s and share one real-axis pass for all
+    the orders; the others are summed, order by order, in blocks of the
     points-by-parts outer product."""
     s = -z[0].real
-    poly_at_one = float(sum(_h_deriv_poly(m))) if m else 1.0  # the value: h <= u
-    tr = _series_terms(k, s, eps, m * k, poly_at_one)
-    powers = (_part_powers if tr.terms <= _CACHED_TERMS else _part_powers.__wrapped__)(k, tr.terms)
-    sign = -1.0 if m == 0 else 1.0  # negating a correctly rounded sum is exact
     off = [i for i, p in enumerate(z) if p.imag != 0.0]
-    on_axis = 0j
-    if len(off) < len(z):
-        on_axis = complex(sign * _fsum(_summands(m, powers * -s, powers)), 0.0)
-    out = [on_axis] * len(z)
-    rows = max(1, _BLOCK // powers.size)
-    for lo in range(0, len(off), rows):
-        idx = off[lo:lo + rows]
-        vals = _summands(m, np.array([powers * z[i] for i in idx]), powers)
-        for i, re, im in zip(idx, vals.real, vals.imag):
-            out[i] = complex(sign * _fsum(re), sign * _fsum(im))
+    on_axis = _axis(k, s, orders) if len(off) < len(z) else [0.0] * len(orders)
+    out = []
+    for (m, eps), value in zip(orders, on_axis):
+        vals = [complex(value)] * len(z)
+        if off:
+            powers = _part_powers(k, _series_terms(k, s, eps, m).terms)
+            sign = -1.0 if m == 0 else 1.0
+            rows = max(1, _BLOCK // powers.size)
+            for lo in range(0, len(off), rows):
+                idx = off[lo:lo + rows]
+                block = _summands(m, np.array([powers * z[i] for i in idx]), powers)
+                for i, re, im in zip(idx, block.real, block.imag):
+                    vals[i] = complex(sign * _fsum(re), sign * _fsum(im))
+        out.append(vals)
     return out
 
 
-def _fulcrum_at(kind: PartitionKind, k: int, m: int, z: list, eps: float) -> list:
-    """m-th derivative of the fulcrum of either kind at each point of z (as
-    in _series).  Distinct kind: G^(m)(z) = F^(m)(z) - 2^m F^(m)(2z)."""
+def _fulcrum_at(kind: PartitionKind, k: int, ms: Sequence[int], z: list, eps: float) -> list:
+    """For each order m of ms, the m-th derivative of the fulcrum of either
+    kind at each point of z (as in _series).  The one place the distinct
+    kind is formed: G^(m)(z) = F^(m)(z) - 2^m F^(m)(2z), with tail bounds
+    eps/2 for F and eps/2^(m+1) for F(2z)."""
     if kind is PartitionKind.DISTINCT:
-        a = _series(k, m, z, eps / 2)
-        b = _series(k, m, [2 * p for p in z], eps / 2**(m + 1))
-        return [x - 2**m * y for x, y in zip(a, b)]
-    return _series(k, m, z, eps)
+        a = _series(k, [(m, eps / 2) for m in ms], z)
+        b = _series(k, [(m, eps / 2**(m + 1)) for m in ms], [2 * p for p in z])
+        return [[x - 2**m * y for x, y in zip(xs, ys)] for m, xs, ys in zip(ms, a, b)]
+    return _series(k, [(m, eps) for m in ms], z)
 
 
 def fulcrum(kind: PartitionKind, k: int, z: Union[complex, float],
@@ -210,81 +226,68 @@ def fulcrum(kind: PartitionKind, k: int, z: Union[complex, float],
     """m-th derivative (m = 0: the value) of the log of the generating
     function at e^z, analytic on Re z < 0 and real on the negative real
     axis.  Distinct kind: F(z) - F(2z)."""
-    _validate_k(k)
+    _validate(k, (m,))
     z = complex(z)
     if not z.real < 0.0:
         raise ValueError(f"fulcrum requires Re(z) < 0, got {z!r}")
-    if not 0 <= m <= DERIVATIVE_ORDER_CAP:
-        raise ValueError(f"derivative order m={m} outside 0..{DERIVATIVE_ORDER_CAP}")
-    return _fulcrum_at(kind, k, m, [z], eps)[0]
+    return _fulcrum_at(kind, k, (m,), [z], eps)[0][0]
 
 
-def fulcrum_derivative(kind: PartitionKind, k: int, m: int, s: float,
-                       eps: float = 1e-12) -> float:
-    """m-th derivative of the fulcrum at -s, s > 0 (a positive real number)."""
-    _validate_k(k)
-    if not 1 <= m <= DERIVATIVE_ORDER_CAP:
-        raise ValueError(f"derivative order m={m} outside 1..{DERIVATIVE_ORDER_CAP}")
-    return _fulcrum_at(kind, k, m, [complex(-s)], eps)[0].real
+def _derivatives(kind: PartitionKind, k: int, s: float, ms: Sequence[int], eps: float) -> list:
+    """The m-th derivative of the fulcrum at -s, s > 0, for each order m of
+    ms, from one real-axis pass (one per term of the distinct kind).  Order
+    2 is the variance and must be positive."""
+    _validate(k, ms)
+    vals = [v[0].real for v in _fulcrum_at(kind, k, ms, [complex(-s)], eps)]
+    if 2 in ms and not vals[ms.index(2)] > 0.0:
+        raise ArithmeticError(f"variance must be positive, got {vals[ms.index(2)]!r} at s={s}")
+    return vals
 
 
 def mean(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> float:
-    return fulcrum_derivative(kind, k, 1, s, eps)
+    return _derivatives(kind, k, s, (1,), eps)[0]
 
 
 def variance(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> float:
-    v = fulcrum_derivative(kind, k, 2, s, eps)
-    if not v > 0.0:
-        raise ArithmeticError(f"variance must be positive, got {v!r} at s={s}")
-    return v
+    return _derivatives(kind, k, s, (2,), eps)[0]
 
 
 def family_point(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> FamilyPoint:
-    return FamilyPoint(kind=kind, k=k, s=s,
-                       mean=mean(kind, k, s, eps),
-                       variance=variance(kind, k, s, eps),
-                       tail_eps=eps)
+    log_f, m, v = _derivatives(kind, k, s, (0, 1, 2), eps)
+    return FamilyPoint(kind=kind, k=k, s=s, log_f=log_f, mean=m, variance=v, tail_eps=eps)
 
 
-def _vertical_line(kind: PartitionKind, k: int, s: float, t: np.ndarray,
-                   eps: float) -> list:
-    """The fulcrum at -s followed by its values at -s + i*t for each t, from
-    one kernel call."""
-    _validate_k(k)
-    return _fulcrum_at(kind, k, 0, [complex(-s)] + [complex(-s, y) for y in t.tolist()], eps)
+def _line(point: FamilyPoint, t: np.ndarray) -> list:
+    """The fulcrum at -s + i*t for each t of the array t: the point's F(-s)
+    where t = 0, one kernel call at the others."""
+    ys = t.tolist()
+    off = [complex(-point.s, y) for y in ys if y != 0.0]
+    vals = iter(_fulcrum_at(point.kind, point.k, (0,), off, point.tail_eps)[0] if off else ())
+    return [next(vals) if y != 0.0 else complex(point.log_f) for y in ys]
 
 
-def char_fn_normalized(kind: PartitionKind, k: int, s: float,
-                       theta: Union[float, Sequence[float]], eps: float = 1e-12,
-                       moments: Optional[Tuple[float, float]] = None):
+def char_fn_normalized(point: FamilyPoint, theta: Union[float, Sequence[float]]):
     """Characteristic function of the normalized variable at theta:
-    exp(F(-s + i*theta/sigma) - F(-s) - i*theta*mean/sigma).
+    exp(F(-s + i*theta/sigma) - F(-s) - i*theta*mean/sigma), with F(-s), the
+    mean and sigma of the point.
 
     theta is a float (a complex is returned) or a 1-d sequence or array (a
-    complex array is returned); the mean, the variance and F(-s) are
-    computed once.  A caller that already has mean(kind, k, s, eps) and
-    variance(kind, k, s, eps) passes them as moments to skip that work.
-    """
-    m, v = moments if moments is not None else (mean(kind, k, s, eps),
-                                                 variance(kind, k, s, eps))
-    sigma = math.sqrt(v)
+    complex array is returned)."""
+    sigma = math.sqrt(point.variance)
     thetas = np.array(theta, dtype=float, ndmin=1)
-    vals = _vertical_line(kind, k, s, thetas / sigma, eps)
-    base = vals[0].real
-    out = np.array([cmath.exp(val - base - 1j * t * m / sigma)
-                    for val, t in zip(vals[1:], thetas.tolist())])
+    vals = _line(point, thetas / sigma)
+    out = np.array([cmath.exp(val - point.log_f - 1j * t * point.mean / sigma)
+                    for val, t in zip(vals, thetas.tolist())])
     return out if np.ndim(theta) else complex(out[0])
 
 
-def pgf_modulus_ratio(kind: PartitionKind, k: int, s: float,
-                      phi: Union[float, Sequence[float]], eps: float = 1e-12):
+def pgf_modulus_ratio(point: FamilyPoint, phi: Union[float, Sequence[float]]):
     """|f(e^(-s+i*phi))| / f(e^(-s)), always in (0, 1] away from phi = 0 mod 2pi.
 
     phi is a float (a float is returned) or a 1-d sequence or array (an
-    array is returned); F(-s) is computed once."""
-    vals = _vertical_line(kind, k, s, np.array(phi, dtype=float, ndmin=1), eps)
-    base = vals[0].real
-    out = np.array([math.exp(val.real - base) for val in vals[1:]])
+    array is returned)."""
+    vals = _line(point, np.array(phi, dtype=float, ndmin=1))
+    out = np.array([math.exp(val.real - point.log_f) for val in vals])
     return out if np.ndim(phi) else float(out[0])
 
 
@@ -297,8 +300,7 @@ def pmf(point: FamilyPoint, n: int, table: CoeffTable) -> float:
     a = table.coeffs[n]
     if a == 0:
         return 0.0
-    base = fulcrum(point.kind, point.k, complex(-point.s), point.tail_eps).real
-    return math.exp(log_integer(a) - n * point.s - base)
+    return math.exp(log_integer(a) - n * point.s - point.log_f)
 
 
 def sample(point: FamilyPoint, count: int, seed: int) -> np.ndarray:
@@ -331,9 +333,12 @@ def sample(point: FamilyPoint, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def _validate_k(k: int) -> None:
+def _validate(k: int, ms: Sequence[int]) -> None:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    for m in ms:
+        if not 0 <= m <= DERIVATIVE_ORDER_CAP:
+            raise ValueError(f"derivative order m={m} outside 0..{DERIVATIVE_ORDER_CAP}")
 
 
 __all__ = [
@@ -341,7 +346,6 @@ __all__ = [
     "SeriesTruncation",
     "TruncationError",
     "fulcrum",
-    "fulcrum_derivative",
     "mean",
     "variance",
     "family_point",

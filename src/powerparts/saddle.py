@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .bigcount import PartitionKind
-from .family import fulcrum, mean, variance
+from .family import _derivatives, mean, variance
 from .special import constants
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -127,8 +127,7 @@ def hayman_estimate(kind: PartitionKind, k: int, n: int, saddle: SaddleResult,
     if saddle.kind is not kind or saddle.k != k or saddle.n != n:
         raise ValueError("saddle result does not match kind/k/n")
     s = saddle.s
-    base = fulcrum(kind, k, complex(-s), eps).real
-    var = variance(kind, k, s, eps)
+    base, var = _derivatives(kind, k, s, (0, 2), eps)
     log_value = base + n * s - _LOG_SQRT_TWO_PI - 0.5 * math.log(var)
     formula = (EstimateFormula.HAYMAN if saddle.method is SaddleMethod.EXACT_ROOT
                else EstimateFormula.HAYMAN_BD)

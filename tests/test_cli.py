@@ -64,11 +64,21 @@ class TestCount:
 
     @pytest.mark.parametrize("method", ["dp", "recurrence"])
     def test_budget_refusal(self, capsys, method):
-        # refused before any table is allocated
-        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", "131073",
+        # refused before any table is allocated; the quadratic log recurrence
+        # has a budget of its own
+        budget = {"dp": 131072, "recurrence": 8192}[method]
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", str(budget + 1),
                                  "--method", method)
         assert code == 2 and out == ""
-        assert "budget" in err and "131072" in err and "--max-n" in err
+        assert "budget" in err and str(budget) in err and "--max-n" in err
+
+    def test_max_n_sets_the_recurrence_budget(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", "11",
+                                 "--max-n", "10", "--method", "recurrence")
+        assert code == 2 and out == "" and "budget 10 " in err
+        code, out, _ = run_cli(capsys, "count", "--k", "1", "--n-max", "10",
+                               "--max-n", "10", "--method", "recurrence")
+        assert code == 0 and out.endswith("\n10,42\n")
 
     def test_max_n_sets_the_budget(self, capsys):
         code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", "11",
@@ -125,21 +135,24 @@ class TestFamily:
         assert all(m <= 1.0 + 1e-12 for m in mods)
 
     @pytest.mark.parametrize("kind", ["unrestricted", "distinct"])
-    def test_moments_computed_once(self, capsys, monkeypatch, kind):
-        orders = []
+    def test_one_real_axis_pass(self, capsys, monkeypatch, axis_passes, kind):
+        # one real-axis pass per term of the kind gives F(-s), the mean and
+        # the variance; one kernel call gives the rows off the axis
+        calls = []
         kernel = family._fulcrum_at
 
-        def counted(kind_, k, m, z, eps):
-            orders.append(m)
-            return kernel(kind_, k, m, z, eps)
+        def counted(kind_, k, ms, z, eps):
+            calls.append((list(ms), sum(p.imag != 0.0 for p in z)))
+            return kernel(kind_, k, ms, z, eps)
 
         monkeypatch.setattr(family, "_fulcrum_at", counted)
         code, out, _ = run_cli(capsys, "family", "--kind", kind, "--k", "2",
                                "--s", "0.1", "--theta-grid", "0:2:5")
         assert code == 0
-        assert sorted(orders) == [0, 1, 2]
+        assert axis_passes == [[0, 1, 2]] * (1 if kind == "unrestricted" else 2)
+        assert calls == [([0, 1, 2], 0), ([0], 4)]
         monkeypatch.undo()
-        cfs = family.char_fn_normalized(PartitionKind.parse(kind), 2, 0.1,
+        cfs = family.char_fn_normalized(family.family_point(PartitionKind.parse(kind), 2, 0.1),
                                         [0.0, 0.5, 1.0, 1.5, 2.0])
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [(float(r[4]), float(r[5])) for r in rows] == [

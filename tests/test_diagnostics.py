@@ -18,8 +18,8 @@ from powerparts.diagnostics import (CLT_S_GRID, DEFAULT_S_GRID,
                                     fulcrum_asymptotic_check,
                                     gaussianity_ratios, run_all, run_suite,
                                     strong_gauss_l1, twl_bound_scan)
-from powerparts.family import (char_fn_normalized, fulcrum, mean,
-                               pgf_modulus_ratio, variance)
+from powerparts.family import (char_fn_normalized, family_point, fulcrum,
+                               mean, pgf_modulus_ratio, variance)
 
 from _oracles import QuadratureFailed, depth_first_simpson
 
@@ -28,6 +28,12 @@ D = PartitionKind.DISTINCT
 
 
 class TestGaussianityRatios:
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_one_real_axis_pass_per_s(self, axis_passes, kind):
+        for s in (0.5, 0.05):
+            gaussianity_ratios(kind, 2, s)
+        assert axis_passes == [[2, 3, 4, 5, 6]] * 2 * (1 if kind is U else 2)
+
     def test_slope_k1(self):
         seq = [gaussianity_ratios(U, 1, s, m_max=3)[0] for s in DEFAULT_S_GRID]
         slope = _fit_loglog_slope(DEFAULT_S_GRID[3:], seq[3:])
@@ -79,6 +85,11 @@ class TestFulcrumAsymptoticCheck:
 
 
 class TestStrongGaussL1:
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_one_real_axis_pass(self, axis_passes, kind):
+        strong_gauss_l1(kind, 1, 0.3)
+        assert axis_passes == [[0, 1, 2]] * (1 if kind is U else 2)
+
     def test_k1_strictly_decreasing(self, thresholds):
         fx = thresholds["strong_gauss"]["1"]
         vals = [strong_gauss_l1(U, 1, s) for s in fx["s_grid"]]
@@ -93,7 +104,7 @@ class TestStrongGaussL1:
         assert v_005 <= fx["final_threshold"]
 
     def test_integrand_zero_at_origin(self):
-        cf = char_fn_normalized(U, 1, 0.2, 0.0)
+        cf = char_fn_normalized(family_point(U, 1, 0.2), 0.0)
         assert abs(cf - 1.0) == 0.0
 
     def test_split_invariance(self):
@@ -130,13 +141,13 @@ class TestAdaptiveSimpson:
 
 def _strong_integrand(kind, k, s):
     """The strong suite's integrand over an array of theta, and pi*sigma."""
-    moments = (mean(kind, k, s), variance(kind, k, s))
+    pt = family_point(kind, k, s)
 
     def f(theta):
-        cfs = char_fn_normalized(kind, k, s, theta, moments=moments).tolist()
+        cfs = char_fn_normalized(pt, theta).tolist()
         return np.array([abs(cf - math.exp(-0.5 * t * t)) for cf, t in zip(cfs, theta.tolist())])
 
-    return f, math.pi * math.sqrt(moments[1])
+    return f, math.pi * math.sqrt(pt.variance)
 
 
 def _depth_first_strong_gauss_l1(kind, k, s, quad_tol):
@@ -219,7 +230,7 @@ class TestStrongCallCount:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(len(args[3]))
+            calls.append(len(args[1]))
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(diagnostics, "char_fn_normalized", counted)
@@ -243,7 +254,7 @@ class TestStrongCallCount:
         # level, and the level that would pass 200,000 evaluations (level
         # 16) is never evaluated
         calls = self._counting(
-            monkeypatch, lambda kind, k, s, theta, eps, moments: np.exp(1e6j * theta))
+            monkeypatch, lambda point, theta: np.exp(1e6j * theta))
         with pytest.raises(QuadratureError) as exc:
             strong_gauss_l1(U, 1, 0.2, quad_tol=1e-300)
         assert calls == [3] + [2 * 2**level for level in range(16)]
@@ -272,15 +283,16 @@ class TestTwlScan:
         # ABOVE the knee value: the dip bottoms out near 2*pi*s and partially
         # recovers toward pi (even-index factors stop decaying there)
         for s in (0.3, 0.1, 0.03):
-            at_pi = pgf_modulus_ratio(U, k, s, math.pi)
-            at_inner = pgf_modulus_ratio(U, k, s, s / 2.0)
-            at_knee = pgf_modulus_ratio(U, k, s, 2.0 * math.pi * s)
+            pt = family_point(U, k, s)
+            at_pi = pgf_modulus_ratio(pt, math.pi)
+            at_inner = pgf_modulus_ratio(pt, s / 2.0)
+            at_knee = pgf_modulus_ratio(pt, 2.0 * math.pi * s)
             assert at_pi < at_inner
             assert at_knee < at_pi
 
     def test_small_s_where_the_ratio_underflows(self):
         s = 0.002
-        assert np.min(pgf_modulus_ratio(U, 1, s, default_phi_grid(s))) == 0.0
+        assert np.min(pgf_modulus_ratio(family_point(U, 1, s), default_phi_grid(s))) == 0.0
         scan = twl_bound_scan(1, s)
         assert math.isclose(scan.d1, 0.0406, rel_tol=1e-3)
         assert math.isclose(scan.d2, 1.233, rel_tol=1e-3)
@@ -293,7 +305,7 @@ class TestTwlScan:
         for s in TWL_S_GRID + (0.06, 0.02):
             scan = twl_bound_scan(k, s, kind=kind)
             grid = default_phi_grid(s)
-            neg_log = -np.log(pgf_modulus_ratio(kind, k, s, grid))
+            neg_log = -np.log(pgf_modulus_ratio(family_point(kind, k, s), grid))
             inner = grid <= 2.0 * math.pi * s
             d1 = np.min(neg_log[inner] * s ** (2.0 + 1.0 / k) / grid[inner] ** 2)
             d2 = np.min(neg_log[~inner] * s ** (1.0 / k))

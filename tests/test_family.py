@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerparts.bigcount import PartitionKind, count_partitions
 from powerparts.family import (SAMPLE_TAIL_EPS, FamilyPoint, TruncationError,
-                               _fulcrum_at, _h_deriv_poly, char_fn_normalized,
-                               family_point, fulcrum, fulcrum_derivative, mean,
-                               pgf_modulus_ratio, pmf, sample, variance)
+                               _axis, _derivatives, _fulcrum_at, _h_deriv_poly,
+                               _series_terms, char_fn_normalized,
+                               family_point, fulcrum, mean, pgf_modulus_ratio,
+                               pmf, sample, variance)
 
 from _oracles import char_fn_from_table, mp_fulcrum, mp_rel_err
 
@@ -56,7 +57,7 @@ class TestFulcrum:
         s = 0.02
         zs = [complex(-s, t) for t in np.linspace(-3.0, 3.0, 59)] + [complex(-s)]
         assert complex(-s) in zs[:-1]
-        batch = _fulcrum_at(kind, 1, m, zs, 1e-12)
+        batch = _fulcrum_at(kind, 1, (m,), zs, 1e-12)[0]
         assert batch == [fulcrum(kind, 1, z, m=m) for z in zs]
         assert batch[-1].imag == 0.0
 
@@ -83,6 +84,44 @@ class TestFulcrum:
         assert abs(tight - loose) <= 1e-6
 
 
+class TestRealAxisPass:
+    """One real-axis pass sums every order asked of it, each bit for bit the
+    value of a pass for that order alone."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), k=st.integers(1, 4),
+           log_s=st.floats(-3.0, math.log10(5.0)),
+           ms=st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True),
+           eps=st.sampled_from([1e-12, 1e-8]))
+    @example(kind=U, k=1, log_s=-3.0, ms=[8, 0, 2, 1], eps=1e-12)
+    @example(kind=D, k=1, log_s=-3.0, ms=[2, 0, 5], eps=1e-8)
+    def test_orders_together_equal_orders_alone(self, kind, k, log_s, ms, eps):
+        s = 10.0**log_s
+        assert _derivatives(kind, k, s, ms, eps) == [fulcrum(kind, k, -s, eps, m).real
+                                                     for m in ms]
+
+    def test_long_pass(self):
+        # every order needs more than 4096 parts at s = 1e-3, k = 1
+        s, orders = 1e-3, [(m, 1e-12) for m in range(9)]
+        assert min(_series_terms(1, s, eps, m).terms for m, eps in orders) > 4096
+        assert _axis(1, s, orders) == [_axis(1, s, [o])[0] for o in orders]
+
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_family_point_is_one_pass(self, axis_passes, kind):
+        family_point(kind, 2, 0.1)
+        assert axis_passes == [[0, 1, 2]] * (1 if kind is U else 2)
+
+    def test_char_fn_pgf_and_pmf_make_none(self, axis_passes, tables_2000):
+        pt = family_point(U, 1, 0.3)
+        axis_passes.clear()
+        char_fn_normalized(pt, np.linspace(0.0, 3.0, 7))
+        char_fn_normalized(pt, 0.0)
+        pgf_modulus_ratio(pt, [0.0, 0.5])
+        for n in range(50):
+            pmf(pt, n, tables_2000[(U, 1)])
+        assert axis_passes == []
+
+
 class TestMpmathAudit:
     @pytest.mark.parametrize("kind", [U, D])
     def test_fulcrum_40_digits(self, thresholds, kind):
@@ -103,12 +142,12 @@ class TestFulcrumDerivative:
     def test_first_derivative_formula(self):
         direct = math.fsum(j * math.exp(-j) / (1.0 - math.exp(-j))
                            for j in range(1, 61))
-        assert math.isclose(fulcrum_derivative(U, 1, 1, 1.0), direct, rel_tol=1e-13)
+        assert math.isclose(fulcrum(U, 1, -1.0, m=1).real, direct, rel_tol=1e-13)
 
     def test_second_derivative_formula(self):
         direct = math.fsum(j * j * math.exp(-j) / (1.0 - math.exp(-j)) ** 2
                            for j in range(1, 61))
-        assert math.isclose(fulcrum_derivative(U, 1, 2, 1.0), direct, rel_tol=1e-13)
+        assert math.isclose(fulcrum(U, 1, -1.0, m=2).real, direct, rel_tol=1e-13)
 
     @pytest.mark.parametrize("kind", [U, D])
     @pytest.mark.parametrize("k", [1, 2])
@@ -116,7 +155,7 @@ class TestFulcrumDerivative:
         s, h = 0.5, 1e-6
         fd = (fulcrum(kind, k, complex(-(s - h))).real
               - fulcrum(kind, k, complex(-(s + h))).real) / (2.0 * h)
-        assert math.isclose(fd, fulcrum_derivative(kind, k, 1, s), rel_tol=1e-6)
+        assert math.isclose(fd, fulcrum(kind, k, -s, m=1).real, rel_tol=1e-6)
 
     def test_polynomial_coefficients(self):
         assert _h_deriv_poly(1) == (0, 1)
@@ -127,16 +166,16 @@ class TestFulcrumDerivative:
     def test_higher_orders_consistent(self, m):
         # each order must be the derivative in -s of the one below it
         s, h = 0.7, 1e-4
-        fd = (fulcrum_derivative(U, 1, m - 1, s - h)
-              - fulcrum_derivative(U, 1, m - 1, s + h)) / (2.0 * h)
-        assert math.isclose(fd, fulcrum_derivative(U, 1, m, s), rel_tol=1e-6)
+        fd = (fulcrum(U, 1, -(s - h), m=m - 1).real
+              - fulcrum(U, 1, -(s + h), m=m - 1).real) / (2.0 * h)
+        assert math.isclose(fd, fulcrum(U, 1, -s, m=m).real, rel_tol=1e-6)
 
     def test_order_cap(self):
-        fulcrum_derivative(U, 1, 8, 0.5)
+        fulcrum(U, 1, -0.5, m=8)
         with pytest.raises(ValueError):
-            fulcrum_derivative(U, 1, 9, 0.5)
+            fulcrum(U, 1, -0.5, m=9)
         with pytest.raises(ValueError):
-            fulcrum_derivative(U, 1, 0, 0.5)
+            fulcrum(U, 1, -0.5, m=-1)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_domination_third_derivative(self, k):
@@ -193,24 +232,27 @@ class TestMeanVariance:
 
 class TestCharFn:
     def test_at_origin(self):
-        assert char_fn_normalized(U, 1, 0.1, 0.0) == 1.0 + 0.0j
+        assert char_fn_normalized(family_point(U, 1, 0.1), 0.0) == 1.0 + 0.0j
 
     @pytest.mark.parametrize("kind", [U, D])
     def test_batch_equals_single_thetas(self, kind):
         thetas = np.linspace(0.0, 5.0, 21)
-        batch = char_fn_normalized(kind, 2, 0.05, thetas)
+        pt = family_point(kind, 2, 0.05)
+        batch = char_fn_normalized(pt, thetas)
         assert batch[0] == 1.0 + 0.0j
-        assert list(batch) == [char_fn_normalized(kind, 2, 0.05, t) for t in thetas]
+        assert list(batch) == [char_fn_normalized(pt, t) for t in thetas]
 
     def test_modulus_bounded(self):
+        pt = family_point(U, 1, 0.08)
         for theta in (0.3, 1.0, 4.0, 11.0):
-            assert abs(char_fn_normalized(U, 1, 0.08, theta)) <= 1.0 + 1e-12
+            assert abs(char_fn_normalized(pt, theta)) <= 1.0 + 1e-12
 
     def test_modulus_equals_pgf_ratio(self):
         s, theta = 0.1, 1.7
-        sigma = math.sqrt(variance(U, 1, s))
-        lhs = abs(char_fn_normalized(U, 1, s, theta))
-        rhs = pgf_modulus_ratio(U, 1, s, theta / sigma)
+        pt = family_point(U, 1, s)
+        sigma = math.sqrt(pt.variance)
+        lhs = abs(char_fn_normalized(pt, theta))
+        rhs = pgf_modulus_ratio(pt, theta / sigma)
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
 
     def test_against_pmf_sum(self):
@@ -218,34 +260,36 @@ class TestCharFn:
         s = 0.05
         table = count_partitions(U, 1, 4096)
         expected = char_fn_from_table(table, s, 1.0)
-        got = char_fn_normalized(U, 1, s, 1.0)
+        got = char_fn_normalized(family_point(U, 1, s), 1.0)
         assert abs(got - expected) < 1e-6
 
 
 class TestPgfModulusRatio:
     def test_phi_zero(self):
-        assert pgf_modulus_ratio(U, 1, 0.2, 0.0) == 1.0
+        assert pgf_modulus_ratio(family_point(U, 1, 0.2), 0.0) == 1.0
 
     @pytest.mark.parametrize("kind", [U, D])
     def test_batch_equals_single_phis(self, kind):
         phis = np.geomspace(0.01, math.pi, 40)
-        batch = pgf_modulus_ratio(kind, 1, 0.1, phis)
-        assert list(batch) == [pgf_modulus_ratio(kind, 1, 0.1, p) for p in phis]
+        pt = family_point(kind, 1, 0.1)
+        batch = pgf_modulus_ratio(pt, phis)
+        assert list(batch) == [pgf_modulus_ratio(pt, p) for p in phis]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_full_turn(self, k):
-        assert math.isclose(pgf_modulus_ratio(U, k, 0.5, 2.0 * math.pi), 1.0,
+        assert math.isclose(pgf_modulus_ratio(family_point(U, k, 0.5), 2.0 * math.pi), 1.0,
                             rel_tol=1e-12)
 
     def test_in_unit_interval(self):
+        pt = family_point(U, 1, 0.1)
         for phi in (0.05, 0.3, 1.0, math.pi):
-            v = pgf_modulus_ratio(U, 1, 0.1, phi)
+            v = pgf_modulus_ratio(pt, phi)
             assert 0.0 < v < 1.0
 
     def test_bounded_by_inner_regime_fit(self, thresholds):
         d1 = thresholds["twl"]["1"]["d1_floor"]
         s, phi = 0.1, 0.05
-        assert pgf_modulus_ratio(U, 1, s, phi) <= math.exp(-d1 * phi**2 * s**-3.0)
+        assert pgf_modulus_ratio(family_point(U, 1, s), phi) <= math.exp(-d1 * phi**2 * s**-3.0)
 
 
 class TestPmf:
@@ -319,6 +363,11 @@ class TestSample:
 
 
 class TestFamilyPoint:
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_log_f_is_the_fulcrum(self, kind):
+        for k, s, eps in ((1, 0.3, 1e-12), (2, 0.05, 1e-8), (3, 2.0, 1e-12)):
+            assert family_point(kind, k, s, eps).log_f == fulcrum(kind, k, -s, eps).real
+
     def test_fields(self):
         pt = family_point(U, 2, 0.25, eps=1e-10)
         assert isinstance(pt, FamilyPoint)

@@ -135,6 +135,12 @@ class TestExactSaddle:
 
 
 class TestHaymanEstimate:
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_one_real_axis_pass(self, axis_passes, kind):
+        # F(-s) and the variance at the saddle from one pass
+        hayman_estimate(kind, 2, 1000, bd_saddle(2, 1000, kind))
+        assert axis_passes == [[0, 2]] * (1 if kind is U else 2)
+
     def test_ratio_n500(self, thresholds):
         table = count_partitions(U, 1, 500)
         est = hayman_estimate(U, 1, 500, exact_saddle(U, 1, 500))
