@@ -14,6 +14,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from itertools import cycle
 from operator import add, sub
 from typing import Iterator, Optional
 
@@ -83,22 +84,19 @@ def _parts(k: int, n_max: int) -> Iterator[int]:
 
 
 def _knapsack(kind: PartitionKind, k: int, n_max: int) -> list:
-    """Dense knapsack DP over parts j^k <= n_max.
-
-    Unrestricted: unbounded multiplicity, ascending update (per part p the
-    table becomes its stride-p prefix sums).  Distinct: 0/1 multiplicity,
-    descending update.  Both inner loops run block-wise over slices so the
-    big-int additions execute in C; block b reads only block b-1, which is
-    already final (ascending) or still untouched (descending), reproducing
-    the scalar loop exactly.
-    """
+    """Dense knapsack DP over parts j^k <= n_max: c_n += c_{n-p} for each part
+    p, in ascending n for unbounded multiplicity (Unrestricted), from the old
+    table for 0/1 multiplicity (Distinct).  Each update is one slice
+    operation per part or per stride-p block, so the additions run in C."""
     c = [0] * (n_max + 1)
     c[0] = 1
     for p in _parts(k, n_max):
-        starts = range(p, n_max + 1, p)
-        for start in starts if kind is PartitionKind.UNRESTRICTED else reversed(starts):
-            end = min(start + p, n_max + 1)
-            c[start:end] = map(add, c[start:end], c[start - p:end - p])
+        if kind is PartitionKind.UNRESTRICTED:
+            for start in range(p, n_max + 1, p):
+                c[start:start + p] = map(add, c[start:start + p], c[start - p:start])
+        else:
+            # both right-hand slices are copies taken before the assignment
+            c[p:] = map(add, c[p:], c[:-p])
     return c
 
 
@@ -176,26 +174,14 @@ def epsilon_k(k: int, n: int) -> int:
     return total
 
 
-def delta_sieve(k: int, n_max: int) -> list:
-    """delta_k(n) for n = 0..n_max (index 0 unused, set to 0)."""
-    _validate_args(k, n_max)
+def _log_weights(kind: PartitionKind, k: int, n_max: int) -> list:
+    """delta_k(n) (Unrestricted) or epsilon_k(n) (Distinct) for n = 0..n_max,
+    index 0 unused and set to 0: each part p adds p to its multiples q*p,
+    for the distinct kind with the sign alternating with the parity of q."""
     arr = [0] * (n_max + 1)
     for p in _parts(k, n_max):
-        for m in range(p, n_max + 1, p):
-            arr[m] += p
-    return arr
-
-
-def epsilon_sieve(k: int, n_max: int) -> list:
-    """epsilon_k(n) for n = 0..n_max (index 0 unused, set to 0)."""
-    _validate_args(k, n_max)
-    arr = [0] * (n_max + 1)
-    for p in _parts(k, n_max):
-        # multiples m = q*p alternate sign with the parity of q
-        for m in range(p, n_max + 1, 2 * p):
-            arr[m] += p
-        for m in range(2 * p, n_max + 1, 2 * p):
-            arr[m] -= p
+        signs = (p,) if kind is PartitionKind.UNRESTRICTED else (p, -p)
+        arr[p::p] = map(add, arr[p::p], cycle(signs))
     return arr
 
 
@@ -208,10 +194,7 @@ def count_via_log_recurrence(kind: PartitionKind, k: int, n_max: int) -> CoeffTa
     surfaced as ArithmeticError.
     """
     _validate_args(k, n_max)
-    if kind is PartitionKind.UNRESTRICTED:
-        weights = delta_sieve(k, n_max)
-    else:
-        weights = epsilon_sieve(k, n_max)
+    weights = _log_weights(kind, k, n_max)
     a = [1]
     mul = int.__mul__
     for n in range(1, n_max + 1):
@@ -279,8 +262,6 @@ __all__ = [
     "count_via_log_recurrence",
     "delta_k",
     "epsilon_k",
-    "delta_sieve",
-    "epsilon_sieve",
     "verify_product_identity",
     "log_integer",
 ]

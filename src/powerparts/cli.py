@@ -99,9 +99,12 @@ def _fmt(x: float) -> str:
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {path}: {exc.strerror or exc}") from None
 
 
 def _json_dumps(obj) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bigcount import PartitionKind
 from .family import (_derivatives, _line, char_fn_normalized, family_point,
-                     fulcrum, mean, sample, variance)
+                     fulcrum, sample)
 from .special import constants
 
 DEFAULT_S_GRID = tuple(0.5 * 2.0**-i for i in range(9))
@@ -217,20 +217,28 @@ def twl_bound_scan(k: int, s: float, phi_grid: Optional[Sequence[float]] = None,
                    normative=kind is PartitionKind.UNRESTRICTED)
 
 
+def _bd_gaps(k: int, s_grid: Sequence[float], eps: float) -> tuple:
+    """Both bd gaps along the grid, (normalized, scaled mean), from one
+    real-axis pass per s for the mean and the variance."""
+    big_omega = constants(k).Omega
+    gaps, scaled = [], []
+    for s in s_grid:
+        m, v = _derivatives(PartitionKind.UNRESTRICTED, k, s, (1, 2), eps)
+        approx = big_omega * s ** (-1.0 - 1.0 / k)
+        gaps.append((m - approx) / math.sqrt(v))
+        scaled.append(s * (approx - m))
+    return gaps, scaled
+
+
 def bd_condition_check(k: int, s_grid: Sequence[float], eps: float = 1e-12) -> list:
     """(mean - Omega_k s^(-1-1/k)) / sigma along the grid; expected -> 0
     from below with log-log slope about 1/(2k)."""
-    big_omega = constants(k).Omega
-    return [(mean(PartitionKind.UNRESTRICTED, k, s, eps) - big_omega * s ** (-1.0 - 1.0 / k))
-            / math.sqrt(variance(PartitionKind.UNRESTRICTED, k, s, eps)) for s in s_grid]
+    return _bd_gaps(k, s_grid, eps)[0]
 
 
 def bd_scaled_mean_gap(k: int, s_grid: Sequence[float], eps: float = 1e-12) -> list:
     """s * (Omega_k s^(-1-1/k) - mean); stays in [0, 1] for every s > 0."""
-    big_omega = constants(k).Omega
-    return [s * (big_omega * s ** (-1.0 - 1.0 / k)
-                 - mean(PartitionKind.UNRESTRICTED, k, s, eps))
-            for s in s_grid]
+    return _bd_gaps(k, s_grid, eps)[1]
 
 
 def euler_maclaurin_identity_check(quad_tol: float = 1e-10) -> tuple:
@@ -243,12 +251,13 @@ def euler_maclaurin_identity_check(quad_tol: float = 1e-10) -> tuple:
     """
     if not quad_tol > 0.0:
         raise ValueError(f"requires quad_tol > 0, got {quad_tol!r}")
-    n_cut = max(64, math.ceil((1.0 / (36.0 * quad_tol)) ** (1.0 / 3.0)) + 2)
-    terms = []
-    for m in range(1, n_cut):
-        terms.append(0.5 * (1.0 - (2.0 * m + 1.0) * math.log1p(1.0 / m)
-                            + (m * m + m + 1.0 / 6.0) / (m * (m + 1.0))))
-    integral = math.fsum(terms)
+    # float64 cannot see a tail below 1e-16 of the O(1) sum, while a smaller
+    # tol would ask for ~(36 tol)^(-1/3) terms
+    tol = max(quad_tol, 1e-16)
+    n_cut = max(64, math.ceil((1.0 / (36.0 * tol)) ** (1.0 / 3.0)) + 2)
+    integral = math.fsum(0.5 * (1.0 - (2.0 * m + 1.0) * math.log1p(1.0 / m)
+                                + (m * m + m + 1.0 / 6.0) / (m * (m + 1.0)))
+                         for m in range(1, n_cut))
     lhs = 1.0 / 12.0 - integral
     rhs = 1.0 - math.log(math.sqrt(2.0 * math.pi))
     return lhs, rhs
@@ -349,8 +358,7 @@ def _bd_suite(kind, k, grid, b, eps, **_) -> tuple:
             "pass": None,
             "note": "not applicable to the distinct kind",
         }}
-    gap = tuple(bd_condition_check(k, grid, eps=eps))
-    scaled = tuple(bd_scaled_mean_gap(k, grid, eps=eps))
+    gap, scaled = map(tuple, _bd_gaps(k, grid, eps))
     return {"bd_normalized_gap": gap, "bd_scaled_mean_gap": scaled}, {
         "bd_normalized_gap": _slope_verdict(
             "-> 0 with log-log slope near 1/(2k)", grid, gap, b, 1.0 / (2.0 * k)),

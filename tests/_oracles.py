@@ -36,6 +36,20 @@ def brute_force_count(kind: PartitionKind, k: int, n: int) -> int:
     return rec(n, max(top, 0)) if n > 0 else 1
 
 
+def knapsack(kind: PartitionKind, k: int, n_max: int) -> list:
+    """Textbook scalar knapsack over the parts j^k <= n_max: ascending n for
+    unbounded multiplicity, descending n for 0/1 multiplicity."""
+    c = [1] + [0] * n_max
+    j = 1
+    while j**k <= n_max:
+        p = j**k
+        ns = range(p, n_max + 1)
+        for n in ns if kind is PartitionKind.UNRESTRICTED else reversed(ns):
+            c[n] += c[n - p]
+        j += 1
+    return c
+
+
 def table_pmf(table: CoeffTable, s: float) -> np.ndarray:
     """Exact finite-support pmf of the family at t = e^-s from a table."""
     t = math.exp(-s)

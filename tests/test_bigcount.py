@@ -2,16 +2,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerparts.bigcount import (CoeffTable, PartitionKind, _knapsack,
-                                 count_partitions, count_via_log_recurrence,
-                                 delta_k, delta_sieve, epsilon_k,
-                                 epsilon_sieve, log_integer,
-                                 verify_product_identity)
+                                 _log_weights, count_partitions,
+                                 count_via_log_recurrence, delta_k, epsilon_k,
+                                 log_integer, verify_product_identity)
 
-from _oracles import brute_force_count
+from _oracles import brute_force_count, knapsack
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -46,6 +45,13 @@ class TestCountPartitions:
     def test_unrestricted_monotone(self, k):
         c = count_partitions(U, k, 300).coeffs
         assert all(b >= a for a, b in zip(c, c[1:]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), k=st.integers(1, 5), n_max=st.integers(0, 600))
+    @example(kind=U, k=2, n_max=0)  # no part at all
+    @example(kind=D, k=3, n_max=7)  # n_max below the second part
+    def test_knapsack_equals_scalar_oracle(self, kind, k, n_max):
+        assert _knapsack(kind, k, n_max) == knapsack(kind, k, n_max)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -101,10 +107,11 @@ class TestDivisorSums:
         vals = [epsilon_k(2, n) for n in range(1, 500)]
         assert any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_sieves_match_pointwise(self, k):
-        ds = delta_sieve(k, 300)
-        es = epsilon_sieve(k, 300)
+        ds = _log_weights(U, k, 300)
+        es = _log_weights(D, k, 300)
+        assert ds[0] == es[0] == 0
         for n in range(1, 301):
             assert ds[n] == delta_k(k, n)
             assert es[n] == epsilon_k(k, n)

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,15 @@ class TestCount:
     def test_k_zero_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--k", "0", "--n-max", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_output(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run_cli(capsys, "count", "--k", "1", "--n-max", "3",
+                                 "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --output {target}: ")
+        assert "Traceback" not in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
@@ -324,6 +336,16 @@ class TestDiagnose:
     def test_bad_suite(self, capsys):
         code, _, _ = run_cli(capsys, "diagnose", "--k", "1", "--suite", "bogus")
         assert code == 2
+
+    def test_em_tiny_quad_tol(self, capsys):
+        # float64 sees no tail below 1e-16, so a smaller tolerance is floored
+        # there; a separate process, so that an unfloored cutoff times out
+        argv = ["diagnose", "--k", "1", "--suite", "em", "--quad-tol"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        run = subprocess.run([sys.executable, "-m", "powerparts.cli", *argv, "1e-300"],
+                             env=env, capture_output=True, text=True, timeout=20)
+        code, out, _ = run_cli(capsys, *argv, "1e-16")
+        assert run.returncode == code == 0 and run.stdout == out
 
 
 class TestRefusedInput:

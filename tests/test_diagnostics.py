@@ -438,6 +438,13 @@ class TestSuites:
         assert rep.grid == ()
         assert rep.verdicts["euler_maclaurin_identity"]["pass"]
 
+    def test_bd_suite_one_real_axis_pass_per_s(self, axis_passes):
+        grid = [0.4, 0.2, 0.1, 0.05]
+        rep = run_suite(U, 2, "bd", s_grid=grid)
+        assert axis_passes == [[1, 2]] * len(grid)
+        assert rep.metrics["bd_normalized_gap"] == tuple(bd_condition_check(2, grid))
+        assert rep.metrics["bd_scaled_mean_gap"] == tuple(bd_scaled_mean_gap(2, grid))
+
     def test_bd_suite_distinct_not_applicable(self):
         rep = run_suite(D, 1, "bd")
         assert rep.verdicts["bd_condition"]["pass"] is None
@@ -463,8 +470,7 @@ class TestSuites:
         # stand-ins replace them; each metric then equals the grid itself
         fakes = {
             "gaussianity_ratios": lambda kind, k, s, m_max, eps: [s] * 4,
-            "bd_condition_check": lambda k, grid, eps: list(grid),
-            "bd_scaled_mean_gap": lambda k, grid, eps: [0.5] * len(grid),
+            "_bd_gaps": lambda k, grid, eps: (list(grid), [0.5] * len(grid)),
             "strong_gauss_l1": lambda kind, k, s, quad_tol, eps: s,
             "clt_empirical_check": lambda kind, k, s, draws, seed, eps: s,
         }
