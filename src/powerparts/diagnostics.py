@@ -9,6 +9,7 @@ are self-describing: every verdict carries the criterion it was judged by.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -23,8 +24,10 @@ DEFAULT_S_GRID = tuple(0.5 * 2.0**-i for i in range(9))
 STRONG_GAUSS_GRID = (0.5, 0.2, 0.1, 0.05)
 TWL_S_GRID = (0.3, 0.1, 0.03)
 CLT_S_GRID = (0.2, 0.05, 0.02)
+QUAD_BUDGET = 200_000  # integrand evaluations of one adaptive Simpson run
 
 _SQRT2 = math.sqrt(2.0)
+_STALL = 64.0 * sys.float_info.epsilon  # a panel difference at rounding level
 
 
 class QuadratureError(RuntimeError):
@@ -85,66 +88,66 @@ def fulcrum_asymptotic_check(kind: PartitionKind, k: int, m: int,
             for s in s_grid]
 
 
-def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                      tol: float, max_depth: int = 24,
-                      max_evals: int = 200_000) -> tuple:
-    """Adaptive Simpson with Richardson correction; returns (value, err_est).
+def _adaptive_simpson(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float],
+                      tol: float) -> tuple:
+    """Adaptive Simpson with Richardson correction on the seed panels between
+    consecutive edges, each to tol; returns (value, err_est).
 
-    f maps an array of nodes to the array of integrand values.  Each
-    refinement level is one call of f at the new nodes of all its
-    unconverged panels, and the accepted panels are summed right to left, the
-    order of a depth-first stack, so the sums do not depend on the batching.
-    Raises QuadratureError if the tolerance is still unmet when a panel hits
-    max_depth or a level would take the evaluations past max_evals.
+    f maps an array of nodes to the array of integrand values: one call at
+    the ends and midpoints of the seed panels, then one per refinement level
+    at the new nodes of every unconverged panel.  No panel is accepted at its
+    seed panel's first comparison, where two coarse values can agree by
+    chance, and the accepted values are summed with math.fsum.  Raises
+    QuadratureError, with the unconverged panels' Simpson values in its
+    estimate, when a level would pass QUAD_BUDGET evaluations or, from the
+    second comparison on, an unconverged panel's difference is at rounding
+    level (so zero-width and all-zero seed panels are accepted).
     """
-    if b <= a:
-        return 0.0, 0.0
-    fa, fm, fb = f(np.array([a, 0.5 * (a + b), b])).tolist()
-    # a panel: (index among the 2^depth of its level, a, b, f(a), f(mid), f(b),
-    # Simpson value, tol, its share of its parent's error estimate)
-    level = [(0, a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, math.inf)]
-    done = []  # (index scaled to depth max_depth, value, err, unmet err)
-    evals = 3
-    for depth in range(max_depth + 1):
-        if not level or evals + 2 * len(level) > max_evals:
-            done += [(p[0] << (max_depth - depth), p[6], p[8], math.inf) for p in level]
-            break
-        mids = [0.5 * (p[1] + p[2]) for p in level]
-        vals = f(np.array([0.5 * (p[1] + m0) for p, m0 in zip(level, mids)]
-                          + [0.5 * (m0 + p[2]) for p, m0 in zip(level, mids)])).tolist()
+    lo, hi = list(edges[:-1]), list(edges[1:])
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    n = len(lo)
+    fx = f(np.array(lo + mid + hi)).tolist()
+    # a panel: (a, b, f(a), f(mid), f(b), Simpson value, tol, its share of
+    # its parent's error estimate)
+    level = [(a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, math.inf)
+             for a, b, fa, fm, fb in zip(lo, hi, fx[:n], fx[n:2 * n], fx[2 * n:])]
+    values, errs = [], []
+    evals, depth, stalled = 3 * n, 0, False
+    while level:
+        if stalled or evals + 2 * len(level) > QUAD_BUDGET:
+            raise QuadratureError(achieved=math.fsum(errs + [p[7] for p in level]),
+                                  estimate=math.fsum(values + [p[5] for p in level]))
+        mids = [0.5 * (p[0] + p[1]) for p in level]
+        vals = f(np.array([0.5 * (p[0] + m0) for p, m0 in zip(level, mids)]
+                          + [0.5 * (m0 + p[1]) for p, m0 in zip(level, mids)])).tolist()
         evals += len(vals)
         refined = []
-        for (i, a0, b0, fa0, fm0, fb0, whole0, tol0, _), m0, flm, frm in zip(
+        for (a0, b0, fa0, fm0, fb0, whole0, tol0, _), m0, flm, frm in zip(
                 level, mids, vals, vals[len(level):]):
             left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
             right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
             delta = left + right - whole0
-            converged = abs(delta) <= 15.0 * tol0
-            if converged or depth == max_depth:
-                done.append((i << (max_depth - depth), left + right + delta / 15.0,
-                             abs(delta) / 15.0, 0.0 if converged else abs(delta) / 15.0))
-            else:
-                share = abs(delta) / 30.0
-                refined += [(2 * i, a0, m0, fa0, flm, fm0, left, tol0 / 2.0, share),
-                            (2 * i + 1, m0, b0, fm0, frm, fb0, right, tol0 / 2.0, share)]
+            if depth > 0 and abs(delta) <= 15.0 * tol0:
+                values.append(left + right + delta / 15.0)
+                errs.append(abs(delta) / 15.0)
+                continue
+            stalled |= depth > 0 and abs(delta) <= _STALL * (abs(left) + abs(right))
+            share = abs(delta) / 30.0
+            refined += [(a0, m0, fa0, flm, fm0, left, tol0 / 2.0, share),
+                        (m0, b0, fm0, frm, fb0, right, tol0 / 2.0, share)]
         level = refined
-    total = err = bad = 0.0
-    for _, value, e, unmet in sorted(done, reverse=True):
-        total, err, bad = total + value, err + e, bad + unmet
-    if bad > tol:
-        raise QuadratureError(achieved=bad if bad < math.inf else err, estimate=total)
-    return total, err
+        depth += 1
+    return math.fsum(values), math.fsum(errs)
 
 
 def strong_gauss_l1(kind: PartitionKind, k: int, s: float,
-                    quad_tol: float = 1e-6, split_c: float = 1.0,
-                    eps: float = 1e-12) -> float:
+                    quad_tol: float = 1e-6, eps: float = 1e-12) -> float:
     """L1 distance between the normalized characteristic function and the
     Gaussian one over theta in [-pi*sigma, pi*sigma].
 
-    The integrand is even, so twice the integral over [0, pi*sigma]; the
-    interval is split at theta = split_c * s^(-1/(2k)) where the modulus
-    bound changes regime.
+    The integrand is even, so twice the integral over [0, pi*sigma], by one
+    adaptive Simpson run over 12 seed panels: 4 below theta = s^(-1/(2k)),
+    where the modulus bound changes regime, and 8 above, each to quad_tol/48.
     """
     if not quad_tol > 0.0:
         raise ValueError(f"requires quad_tol > 0, got {quad_tol!r}")
@@ -156,18 +159,11 @@ def strong_gauss_l1(kind: PartitionKind, k: int, s: float,
                          for cf, t in zip(cfs, theta.tolist())])
 
     theta_max = math.pi * math.sqrt(pt.variance)
-    theta_split = min(split_c * s ** (-1.0 / (2.0 * k)), theta_max)
-    total = 0.0
+    theta_split = min(s ** (-1.0 / (2.0 * k)), theta_max)
     # seed panels keep the sampler from stepping over narrow features
-    for lo, hi, panels in ((0.0, theta_split, 4), (theta_split, theta_max, 8)):
-        if hi <= lo:
-            continue
-        edges = np.linspace(lo, hi, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            val, _ = _adaptive_simpson(integrand, float(a), float(b),
-                                       quad_tol / (4.0 * (4 + 8)))
-            total += val
-    return 2.0 * total
+    edges = np.linspace(0.0, theta_split, 5).tolist() + np.linspace(
+        theta_split, theta_max, 9)[1:].tolist()
+    return 2.0 * _adaptive_simpson(integrand, edges, quad_tol / 48.0)[0]
 
 
 @dataclass(frozen=True)

@@ -186,25 +186,23 @@ def _summands(m: int, zp: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def _series(k: int, orders: list, z: list) -> list:
     """For each (m, eps) of orders, the m-th derivative (m = 0: the value)
     of the unrestricted fulcrum at each point of z, a list of complex points
-    that share one real part -s < 0 and so one truncation per order.  The
-    points on the real axis are all -s and share one real-axis pass for all
-    the orders; the others are summed, order by order, in blocks of the
+    that share one real part -s < 0 and so one truncation per order.  Points
+    all on the real axis are all -s and share one real-axis pass for all the
+    orders; otherwise every point is summed, order by order, in blocks of the
     points-by-parts outer product."""
     s = -z[0].real
-    off = [i for i, p in enumerate(z) if p.imag != 0.0]
-    on_axis = _axis(k, s, orders) if len(off) < len(z) else [0.0] * len(orders)
+    if all(p.imag == 0.0 for p in z):
+        return [[complex(value)] * len(z) for value in _axis(k, s, orders)]
     out = []
-    for (m, eps), value in zip(orders, on_axis):
-        vals = [complex(value)] * len(z)
-        if off:
-            powers = _part_powers(k, _series_terms(k, s, eps, m).terms)
-            sign = -1.0 if m == 0 else 1.0
-            rows = max(1, _BLOCK // powers.size)
-            for lo in range(0, len(off), rows):
-                idx = off[lo:lo + rows]
-                block = _summands(m, np.array([powers * z[i] for i in idx]), powers)
-                for i, re, im in zip(idx, block.real, block.imag):
-                    vals[i] = complex(sign * _fsum(re), sign * _fsum(im))
+    for m, eps in orders:
+        powers = _part_powers(k, _series_terms(k, s, eps, m).terms)
+        sign = -1.0 if m == 0 else 1.0
+        rows = max(1, _BLOCK // powers.size)
+        vals = []
+        for lo in range(0, len(z), rows):
+            block = _summands(m, np.array([powers * p for p in z[lo:lo + rows]]), powers)
+            vals += [complex(sign * _fsum(re), sign * _fsum(im))
+                     for re, im in zip(block.real, block.imag)]
         out.append(vals)
     return out
 

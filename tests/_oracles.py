@@ -4,7 +4,9 @@ validates beyond type definitions."""
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from functools import lru_cache
 
 import mpmath
@@ -116,6 +118,17 @@ def mp_rel_err(value: float, ref, dps: int = 40) -> float:
         return float(abs((mpmath.mpf(value) - ref) / ref))
 
 
+def composite_simpson(f, edges, intervals: int) -> float:
+    """Composite Simpson with ``intervals`` (even) equal intervals on each
+    seed panel between consecutive edges; f maps an array of nodes to the
+    array of integrand values."""
+    w = np.ones(intervals + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return math.fsum(float(np.dot(w, f(np.linspace(a, b, intervals + 1)))) * (b - a) / (3.0 * intervals)
+                     for a, b in zip(edges[:-1], edges[1:]))
+
+
 class QuadratureFailed(RuntimeError):
     """depth_first_simpson left its tolerance unmet."""
 
@@ -125,50 +138,54 @@ class QuadratureFailed(RuntimeError):
         self.estimate = estimate
 
 
-def depth_first_simpson(f, a: float, b: float, tol: float, max_depth: int = 24,
-                        max_evals: int = 200_000) -> tuple:
-    """Adaptive Simpson with Richardson correction, one scalar f(x) call per
-    node and a depth-first panel stack; returns (value, err_est).
+def depth_first_simpson(f, edges, tol: float, budget: int = 200_000) -> tuple:
+    """Adaptive Simpson with Richardson correction on each seed panel between
+    consecutive edges, each to tol, from scalar f(x) calls (memoized) and a
+    depth-first panel stack; returns (value, err_est).
 
-    Raises QuadratureFailed if the tolerance is still unmet when a panel hits
-    max_depth or the evaluation budget runs out (the panels left on the stack
-    are then added unrefined).
+    No panel is accepted at depth 0, and the accepted values are summed with
+    math.fsum.  A panel stalls when, from depth 1 on, it is unconverged with
+    a difference within 64 eps (|left| + |right|); evaluations count 3 per
+    seed panel and 2 per refined panel.  A first walk without a depth cap
+    gives the result when no panel stalls and the budget holds.  Otherwise
+    the walk is repeated with a depth cap of 0, 1, 2, ... until a panel at
+    the cap stalls or refining the cap's unconverged panels would pass the
+    budget, and QuadratureFailed adds the halves' Simpson values and error
+    shares of those panels to the accepted ones.
     """
-    if b <= a:
-        return 0.0, 0.0
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fm, fb, whole, tol, 0)]
-    total = 0.0
-    err = 0.0
-    bad = 0.0
-    evals = 3
-    while stack:
-        a0, b0, fa0, fm0, fb0, whole0, tol0, depth = stack.pop()
-        m0 = 0.5 * (a0 + b0)
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm = f(lm)
-        frm = f(rm)
-        evals += 2
-        left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        delta = left + right - whole0
-        converged = abs(delta) <= 15.0 * tol0
-        if converged or depth >= max_depth or evals >= max_evals:
-            total += left + right + delta / 15.0
-            err += abs(delta) / 15.0
-            if not converged:
-                bad += abs(delta) / 15.0
-            if evals >= max_evals and stack:
-                for (_a1, _b1, _fa1, _fm1, _fb1, whole1, _tol1, _d1) in stack:
-                    total += whole1
-                stack.clear()
-                bad += math.inf
-        else:
-            stack.append((a0, m0, fa0, flm, fm0, left, tol0 / 2.0, depth + 1))
-            stack.append((m0, b0, fm0, frm, fb0, right, tol0 / 2.0, depth + 1))
-    if bad > tol:
-        raise QuadratureFailed(achieved=bad if bad < math.inf else err, estimate=total)
-    return total, err
+    fx = lru_cache(maxsize=None)(f)
+    seeds = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        fa, fm, fb = fx(a), fx(0.5 * (a + b)), fx(b)
+        seeds.append((a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0))
+    for cap in itertools.chain([math.inf], itertools.count()):
+        values, errs, open_values, open_errs = [], [], [], []
+        evals, stalled = 3 * len(seeds), False
+        stack = list(seeds)
+        while stack:
+            a0, b0, fa0, fm0, fb0, whole0, tol0, depth = stack.pop()
+            m0 = 0.5 * (a0 + b0)
+            flm = fx(0.5 * (a0 + m0))
+            frm = fx(0.5 * (m0 + b0))
+            evals += 2
+            left = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
+            right = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
+            delta = left + right - whole0
+            if depth > 0 and abs(delta) <= 15.0 * tol0:
+                values.append(left + right + delta / 15.0)
+                errs.append(abs(delta) / 15.0)
+                continue
+            rounding = 64.0 * sys.float_info.epsilon * (abs(left) + abs(right))
+            stalled = stalled or (depth > 0 and abs(delta) <= rounding)
+            # the walk without a cap stops refining at the first sign of failure
+            if depth < cap and not (cap == math.inf and (stalled or evals > budget)):
+                stack.append((a0, m0, fa0, flm, fm0, left, tol0 / 2.0, depth + 1))
+                stack.append((m0, b0, fm0, frm, fb0, right, tol0 / 2.0, depth + 1))
+            else:
+                open_values += [left, right]
+                open_errs += [abs(delta) / 30.0] * 2
+        if not open_values and evals <= budget:
+            return math.fsum(values), math.fsum(errs)
+        if cap < math.inf and (stalled or evals + 2 * len(open_values) > budget):
+            raise QuadratureFailed(achieved=math.fsum(errs + open_errs),
+                                   estimate=math.fsum(values + open_values))

@@ -21,7 +21,7 @@ from powerparts.diagnostics import (CLT_S_GRID, DEFAULT_S_GRID,
 from powerparts.family import (char_fn_normalized, family_point, fulcrum,
                                mean, pgf_modulus_ratio, variance)
 
-from _oracles import QuadratureFailed, depth_first_simpson
+from _oracles import QuadratureFailed, composite_simpson, depth_first_simpson
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -107,13 +107,6 @@ class TestStrongGaussL1:
         cf = char_fn_normalized(family_point(U, 1, 0.2), 0.0)
         assert abs(cf - 1.0) == 0.0
 
-    def test_split_invariance(self):
-        quad_tol = 1e-6
-        base = strong_gauss_l1(U, 1, 0.1, quad_tol=quad_tol, split_c=1.0)
-        for c in (0.5, 2.0):
-            other = strong_gauss_l1(U, 1, 0.1, quad_tol=quad_tol, split_c=c)
-            assert abs(other - base) < quad_tol * 10.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             strong_gauss_l1(U, 1, -0.1)
@@ -128,15 +121,47 @@ class TestStrongGaussL1:
 
 class TestAdaptiveSimpson:
     def test_polynomial_exact(self):
-        val, err = _adaptive_simpson(lambda x: x**3, 0.0, 2.0, 1e-12)
+        val, err = _adaptive_simpson(lambda x: x**3, [0.0, 2.0], 1e-12)
         assert math.isclose(val, 4.0, rel_tol=1e-12)
 
     def test_gaussian_integral(self):
-        val, _ = _adaptive_simpson(lambda x: np.exp(-x * x / 2.0), 0.0, 40.0, 1e-10)
+        val, _ = _adaptive_simpson(lambda x: np.exp(-x * x / 2.0), [0.0, 40.0], 1e-10)
         assert math.isclose(val, math.sqrt(math.pi / 2.0), rel_tol=1e-9)
 
     def test_empty_interval(self):
-        assert _adaptive_simpson(math.sin, 1.0, 1.0, 1e-8) == (0.0, 0.0)
+        assert _adaptive_simpson(np.sin, [1.0, 1.0], 1e-8) == (0.0, 0.0)
+
+    def test_no_acceptance_at_the_first_comparison(self):
+        # x^6 - 5x^4/4 on [-1, 1]: the 2- and 4-interval Simpson values are
+        # both exactly -1/6, the integral is -3/14
+        f = lambda x: x**6 - 1.25 * x**4
+        val, _ = _adaptive_simpson(f, [-1.0, 1.0], 1e-6)
+        assert abs(val + 3.0 / 14.0) <= 1e-6
+
+    def test_stall_raises(self):
+        # an unreachable tolerance on a smooth integrand: the panel differences
+        # reach rounding level long before the budget
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.exp(x)
+
+        with pytest.raises(QuadratureError) as exc:
+            _adaptive_simpson(f, [0.0, 1.0], 1e-300)
+        assert sum(calls) < 5000  # ten levels, against a budget of 200,000
+        assert math.isclose(exc.value.estimate, math.e - 1.0, rel_tol=1e-12)
+        assert 0.0 < exc.value.achieved < 1e-12
+
+
+def _scrambled(x):
+    """Each node's bits through the splitmix64 finalizer, as floats in [0, 4):
+    an integrand with no smoothness at all."""
+    x = x.view(np.uint64)
+    for shift, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x = (x ^ (x >> np.uint64(shift))) * np.uint64(mul)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(float) * 2.0**-51
 
 
 def _strong_integrand(kind, k, s):
@@ -148,6 +173,12 @@ def _strong_integrand(kind, k, s):
         return np.array([abs(cf - math.exp(-0.5 * t * t)) for cf, t in zip(cfs, theta.tolist())])
 
     return f, math.pi * math.sqrt(pt.variance)
+
+
+def _seed_edges(k, s, theta_max):
+    """The strong suite's 12 seed panels: 4 below s^(-1/(2k)), 8 above."""
+    split = min(s ** (-1.0 / (2.0 * k)), theta_max)
+    return np.linspace(0.0, split, 5).tolist() + np.linspace(split, theta_max, 9)[1:].tolist()
 
 
 def _depth_first_strong_gauss_l1(kind, k, s, quad_tol):
@@ -162,18 +193,12 @@ def _depth_first_strong_gauss_l1(kind, k, s, quad_tol):
         cf = cmath.exp(complex(val.real - base, val.imag - theta * m / sigma))
         return abs(cf - math.exp(-0.5 * theta * theta))
 
-    theta_max = math.pi * sigma
-    theta_split = min(s ** (-1.0 / (2.0 * k)), theta_max)
-    total = 0.0
-    for lo, hi, panels in ((0.0, theta_split, 4), (theta_split, theta_max, 8)):
-        edges = np.linspace(lo, hi, panels + 1)
-        for a, b in zip(edges[:-1], edges[1:]):
-            total += depth_first_simpson(integrand, float(a), float(b), quad_tol / 48.0)[0]
-    return 2.0 * total
+    edges = _seed_edges(k, s, math.pi * sigma)
+    return 2.0 * depth_first_simpson(integrand, edges, quad_tol / 48.0)[0]
 
 
-# s = 0.503465 is where the rule accepts a panel too early (an error of about
-# 1.7e-4); the last three were drawn at random from (0.02, ln 2)
+# at s = 0.503465 two seed-panel values agree by chance at the first
+# comparison; the last three were drawn at random from (0.02, ln 2)
 IDENTITY_S = (0.503465, 0.05, 0.171893, 0.664738, 0.339307)
 
 
@@ -208,22 +233,66 @@ class TestLevelwiseSimpson:
             k = data.draw(st.integers(1, 2))
             f, hi = _strong_integrand(kind, k, data.draw(st.floats(0.05, 0.6)))
             lo, width = 0.0, 1.0
-        a = data.draw(st.floats(lo, hi))
-        b = min(hi, a + data.draw(st.floats(0.0, width)))
+        edges = [data.draw(st.floats(lo, hi))]
+        for _ in range(data.draw(st.integers(1, 4))):
+            edges.append(min(hi, edges[-1] + data.draw(st.floats(0.0, width))))
         tol = 10.0 ** log_tol
         try:
-            expected = depth_first_simpson(lambda x: float(f(np.array([x]))[0]), a, b, tol)
+            expected = depth_first_simpson(lambda x: float(f(np.array([x]))[0]), edges, tol)
         except QuadratureFailed as failed:
             with pytest.raises(QuadratureError) as exc:
-                _adaptive_simpson(f, a, b, tol)
+                _adaptive_simpson(f, edges, tol)
             assert (exc.value.achieved, exc.value.estimate) == (failed.achieved, failed.estimate)
         else:
-            assert _adaptive_simpson(f, a, b, tol) == expected
+            assert _adaptive_simpson(f, edges, tol) == expected
+
+    @pytest.mark.parametrize("f, edges, budget", [
+        (np.exp, [0.0, 0.25, 0.25, 1.0, 2.0], 200_000),  # a stall at 1e-300
+        (_scrambled, [0.0, 1.0, 3.0], 2_000),  # the budget
+    ])
+    def test_failures_match_depth_first(self, monkeypatch, f, edges, budget):
+        monkeypatch.setattr(diagnostics, "QUAD_BUDGET", budget)
+        with pytest.raises(QuadratureFailed) as failed:
+            depth_first_simpson(lambda x: float(f(np.array([x]))[0]), edges, 1e-300, budget)
+        with pytest.raises(QuadratureError) as exc:
+            _adaptive_simpson(f, edges, 1e-300)
+        assert (exc.value.achieved, exc.value.estimate) == (failed.value.achieved,
+                                                            failed.value.estimate)
+
+
+class TestStrongAccuracy:
+    """strong_gauss_l1 is within quad_tol of a composite Simpson with 2^11
+    intervals on each seed panel of the same integrand."""
+
+    @staticmethod
+    def _dense(kind, k, s):
+        f, theta_max = _strong_integrand(kind, k, s)
+        return 2.0 * composite_simpson(f, _seed_edges(k, s, theta_max), 2**11)
+
+    @pytest.mark.parametrize("quad_tol", [1e-6, 1e-8])
+    def test_where_two_coarse_values_agree(self, quad_tol):
+        # the first comparison on the seed panel [1.409, 3.149] agrees to
+        # 1.3e-7 while the next differs by 7.8e-5; accepting there errs by 1.7e-4
+        got = strong_gauss_l1(U, 1, 0.503465, quad_tol=quad_tol)
+        assert abs(got - self._dense(U, 1, 0.503465)) <= quad_tol
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from([U, D]), k=st.integers(1, 3),
+           s=st.floats(0.2, 0.69, exclude_max=True))
+    def test_sample(self, kind, k, s):
+        assert abs(strong_gauss_l1(kind, k, s) - self._dense(kind, k, s)) <= 1e-6
+
+    def test_large_s_zero_width_panels(self):
+        # at s = 5 the split reaches pi*sigma: the 8 upper seed panels have
+        # zero width and are accepted, not failed
+        got = strong_gauss_l1(U, 1, 5.0)
+        assert abs(got - self._dense(U, 1, 5.0)) <= 1e-6
+        assert abs(got - 0.004194514607272812) <= 1e-6
 
 
 class TestStrongCallCount:
-    """strong_gauss_l1 calls char_fn_normalized once per refinement level of
-    each of its 12 seed panels, plus once for each panel's start."""
+    """strong_gauss_l1 calls char_fn_normalized once at the ends and
+    midpoints of its 12 seed panels, then once per refinement level."""
 
     @staticmethod
     def _counting(monkeypatch, inner=char_fn_normalized) -> list:
@@ -246,18 +315,21 @@ class TestStrongCallCount:
                 for s in grid:
                     before = len(calls)
                     strong_gauss_l1(kind, k, s)
-                    assert len(calls) - before <= 12 * 26
-        assert len(calls) < 1000
+                    assert calls[before] == 36
+                    assert len(calls) - before <= 12
+        assert len(calls) <= 100
 
     def test_budget_stops_before_a_level(self, monkeypatch):
-        # a stand-in too wild to converge on any panel: the panels double each
-        # level, and the level that would pass 200,000 evaluations (level
-        # 16) is never evaluated
-        calls = self._counting(
-            monkeypatch, lambda point, theta: np.exp(1e6j * theta))
+        # a stand-in with no smoothness at all (each node's bits through the
+        # splitmix64 finalizer) neither converges nor stalls on any panel: the
+        # panels double each level, and the level that would pass
+        # QUAD_BUDGET = 200,000 evaluations (level 13, after
+        # 36 + 24 (2^13 - 1) = 196,620) is never evaluated
+        calls = self._counting(monkeypatch, lambda point, theta: _scrambled(theta))
         with pytest.raises(QuadratureError) as exc:
             strong_gauss_l1(U, 1, 0.2, quad_tol=1e-300)
-        assert calls == [3] + [2 * 2**level for level in range(16)]
+        assert diagnostics.QUAD_BUDGET == 200_000
+        assert calls == [36] + [24 * 2**level for level in range(13)]
         assert 0.0 < exc.value.achieved < math.inf and exc.value.estimate > 0.0
 
 
@@ -367,7 +439,7 @@ class TestEulerMaclaurinIdentity:
                         + (m * m + m + 1.0 / 6.0) / (m * (m + 1.0)))
         b2 = lambda t: t * t - t + 1.0 / 6.0
         val, _ = _adaptive_simpson(lambda x: b2(x - 1.0) / (2.0 * x * x),
-                                   1.0, 2.0, 1e-12)
+                                   [1.0, 2.0], 1e-12)
         assert math.isclose(closed, val, rel_tol=1e-10)
 
     def test_interval_term_bound(self):
