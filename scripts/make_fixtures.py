@@ -27,9 +27,9 @@ from powerparts.bigcount import PartitionKind, count_partitions, log_integer
 from powerparts import diagnostics as dg
 from powerparts import saddle as sd
 from powerparts.family import fulcrum
-from powerparts.special import gamma_fn, riemann_zeta
+from powerparts.special import constants, riemann_zeta
 
-from _oracles import mp_fulcrum, mp_rel_err
+from _oracles import mp_fulcrum, mp_omega, mp_rel_err
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -66,8 +66,8 @@ def main() -> None:
         pairwise = []
         for n in grid:
             exact_log = log_integer(table.coeffs[n])
-            e1 = sd.hayman_estimate(U, k, n, sd.exact_saddle(U, k, n)).log_value
-            e2 = sd.hayman_estimate(U, k, n, sd.bd_saddle(k, n)).log_value
+            e1 = sd.hayman_estimate(sd.exact_saddle(U, k, n)).log_value
+            e2 = sd.hayman_estimate(sd.bd_saddle(k, n)).log_value
             e3 = sd.hr_closed_form(k, n).log_value
             ratios.append(math.exp(e3 - exact_log))
             pairwise.append(max(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)))
@@ -257,7 +257,7 @@ def main() -> None:
 
     # --- hayman spot ratios (module tests)
     table500 = count_partitions(U, 1, 500)
-    r500 = math.exp(sd.hayman_estimate(U, 1, 500, sd.exact_saddle(U, 1, 500)).log_value
+    r500 = math.exp(sd.hayman_estimate(sd.exact_saddle(U, 1, 500)).log_value
                     - log_integer(table500.coeffs[500]))
     qtab = count_partitions(D, 1, 1000)
     rq = math.exp(sd.qk_closed_form(1, 1000).log_value - log_integer(qtab.coeffs[1000]))
@@ -282,8 +282,8 @@ def main() -> None:
             "riemann_zeta": audit_case([
                 mp_rel_err(riemann_zeta(1.0 + 1.0 / k),
                            mpmath.zeta(mpmath.mpf(1.0 + 1.0 / k))) for k in range(1, 7)]),
-            "gamma_fn": audit_case([
-                mp_rel_err(gamma_fn(m + 1.0 / k), mpmath.gamma(mpmath.mpf(m + 1.0 / k)))
+            "omega": audit_case([
+                mp_rel_err(constants(k).omega[m], mp_omega(k, m))
                 for k in range(1, 7) for m in range(9)]),
             "fulcrum_grid": {"k": [1, 2, 3], "s": [0.5, 0.1, 0.02], "m_max": 4},
         }
@@ -297,7 +297,7 @@ def main() -> None:
         audit[f"fulcrum_{kind.value}"] = {str(m): audit_case(e) for m, e in enumerate(errs)}
     fx["mpmath_audit"] = audit
     print(f"mpmath audit: zeta {audit['riemann_zeta']['max_rel_err_measured']:.2e}, "
-          f"gamma {audit['gamma_fn']['max_rel_err_measured']:.2e}")
+          f"omega {audit['omega']['max_rel_err_measured']:.2e}")
 
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(fx, indent=2, sort_keys=True) + "\n")

@@ -11,13 +11,13 @@ from .diagnostics import (DiagnosticsReport, QuadratureError,
                           fulcrum_asymptotic_check, gaussianity_ratios,
                           run_all, run_suite, strong_gauss_l1, twl_bound_scan)
 from .family import (FamilyPoint, SeriesTruncation, TruncationError,
-                     char_fn_normalized, family_point, fulcrum, mean,
-                     pgf_modulus_ratio, pmf, sample, variance)
+                     char_fn_normalized, family_point, fulcrum,
+                     pgf_modulus_ratio, pmf, sample)
 from .saddle import (ConvergenceError, EstimateFormula, LogEstimate,
                      SaddleMethod, SaddleResult, bd_saddle, exact_saddle,
                      hayman_estimate, hr_closed_form, qk_closed_form,
                      second_order_logP)
-from .special import ConstantSet, constants, gamma_fn, riemann_zeta
+from .special import ConstantSet, constants, riemann_zeta
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,10 @@ __all__ = [
     "count_via_log_recurrence", "delta_k", "epsilon_k", "log_integer",
     "verify_product_identity",
     # special
-    "ConstantSet", "constants", "gamma_fn", "riemann_zeta",
+    "ConstantSet", "constants", "riemann_zeta",
     # family
     "FamilyPoint", "SeriesTruncation", "TruncationError", "char_fn_normalized",
-    "family_point", "fulcrum", "mean",
-    "pgf_modulus_ratio", "pmf", "sample", "variance",
+    "family_point", "fulcrum", "pgf_modulus_ratio", "pmf", "sample",
     # saddle
     "ConvergenceError", "EstimateFormula", "LogEstimate", "SaddleMethod",
     "SaddleResult", "bd_saddle", "exact_saddle", "hayman_estimate",

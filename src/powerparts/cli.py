@@ -152,9 +152,9 @@ def _estimate(method: str, kind: PartitionKind, k: int, n: int, eps: float,
         return sd.hr_closed_form(k, n), None
     if method == "qk":
         return sd.qk_closed_form(k, n), None
-    saddle = (sd.bd_saddle(k, n, kind) if method == "bd"
+    saddle = (sd.bd_saddle(k, n, kind, eps) if method == "bd"
               else sd.exact_saddle(kind, k, n, rtol=rtol, eps=eps))
-    return sd.hayman_estimate(kind, k, n, saddle, eps), saddle
+    return sd.hayman_estimate(saddle), saddle
 
 
 def _cmd_asymptotic(args: argparse.Namespace) -> int:

@@ -25,6 +25,7 @@ STRONG_GAUSS_GRID = (0.5, 0.2, 0.1, 0.05)
 TWL_S_GRID = (0.3, 0.1, 0.03)
 CLT_S_GRID = (0.2, 0.05, 0.02)
 QUAD_BUDGET = 200_000  # integrand evaluations of one adaptive Simpson run
+PHI_GRID_POINTS = (48, 200)  # default_phi_grid's points inside and outside the knee
 
 _SQRT2 = math.sqrt(2.0)
 _STALL = 64.0 * sys.float_info.epsilon  # a panel difference at rounding level
@@ -178,8 +179,9 @@ class TwlScan:
     normative: bool  # False for the distinct (exploratory) kind
 
 
-def default_phi_grid(s: float, inner: int = 48, outer: int = 200) -> np.ndarray:
+def default_phi_grid(s: float) -> np.ndarray:
     """Geometric grid covering both regimes of (0, pi]."""
+    inner, outer = PHI_GRID_POINTS
     knee = 2.0 * math.pi * s
     lo = np.geomspace(knee / 64.0, knee, inner)
     hi = np.geomspace(knee, math.pi, outer)[1:]

@@ -112,7 +112,6 @@ def _tail_certificate(k: int, s: float, terms: int, weight: int, poly_at_one: fl
     return scale * math.exp(log_head) / (1.0 - rho)
 
 
-@lru_cache(maxsize=4096)
 def _series_terms(k: int, s: float, eps: float, m: int = 0) -> SeriesTruncation:
     """Smallest certified factor count J with tail <= eps for the series of
     the m-th derivative (m = 0: the value, whose summands h satisfy h <= u),
@@ -242,14 +241,6 @@ def _derivatives(kind: PartitionKind, k: int, s: float, ms: Sequence[int], eps: 
     return vals
 
 
-def mean(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> float:
-    return _derivatives(kind, k, s, (1,), eps)[0]
-
-
-def variance(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> float:
-    return _derivatives(kind, k, s, (2,), eps)[0]
-
-
 def family_point(kind: PartitionKind, k: int, s: float, eps: float = 1e-12) -> FamilyPoint:
     log_f, m, v = _derivatives(kind, k, s, (0, 1, 2), eps)
     return FamilyPoint(kind=kind, k=k, s=s, log_f=log_f, mean=m, variance=v, tail_eps=eps)
@@ -344,8 +335,6 @@ __all__ = [
     "SeriesTruncation",
     "TruncationError",
     "fulcrum",
-    "mean",
-    "variance",
     "family_point",
     "char_fn_normalized",
     "pgf_modulus_ratio",

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .bigcount import PartitionKind
-from .family import _derivatives, mean, variance
+from .family import _derivatives, family_point
 from .special import constants
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
@@ -48,7 +48,9 @@ class SaddleResult:
     method: SaddleMethod
     s: float
     residual: float  # mean(e^-s) - n; 0.0 by convention for BAEZ_DUARTE
-    evaluations: int = 0  # mean plus variance evaluations of the solve; 0 for BAEZ_DUARTE
+    log_f: float  # F(-s) = ln f(e^-s)
+    variance: float  # F''(-s)
+    evaluations: int  # real-axis passes made (the distinct kind's two terms count as one)
 
 
 @dataclass(frozen=True)
@@ -69,21 +71,29 @@ def _validate_n(n: int) -> None:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
-def bd_saddle(k: int, n: int, kind: PartitionKind = PartitionKind.UNRESTRICTED) -> SaddleResult:
+def _bd_s(kind: PartitionKind, k: int, n: int) -> float:
     """Closed-form saddle s_n = (C/n)^(k/(k+1)) inverting the leading mean
     asymptotics C / s^(1+1/k); C is Omega_k (unrestricted) or Phi_k (distinct)."""
-    _validate_n(n)
     cs = constants(k)
     c = cs.Omega if kind is PartitionKind.UNRESTRICTED else cs.Phi
-    s = (c / n) ** (k / (k + 1.0))
-    return SaddleResult(kind=kind, k=k, n=n, method=SaddleMethod.BAEZ_DUARTE,
-                        s=s, residual=0.0)
+    return (c / n) ** (k / (k + 1.0))
+
+
+def bd_saddle(k: int, n: int, kind: PartitionKind = PartitionKind.UNRESTRICTED,
+              eps: float = 1e-12) -> SaddleResult:
+    """The closed-form saddle of _bd_s, with F(-s) and the variance there
+    from one real-axis pass."""
+    _validate_n(n)
+    s = _bd_s(kind, k, n)
+    log_f, var = _derivatives(kind, k, s, (0, 2), eps)
+    return SaddleResult(kind=kind, k=k, n=n, method=SaddleMethod.BAEZ_DUARTE, s=s,
+                        residual=0.0, log_f=log_f, variance=var, evaluations=1)
 
 
 def exact_saddle(kind: PartitionKind, k: int, n: int, rtol: float = 1e-10,
                  eps: float = 1e-12) -> SaddleResult:
     """Solve mean(e^-s) = n for s by Newton's method from the closed-form
-    saddle s_bd of bd_saddle.
+    saddle s_bd of _bd_s, with one family_point pass per iterate.
 
     For both kinds the mean sum_j j^k / (e^(j^k s) -+ 1) is decreasing and
     convex in s, because every summand is, so the root is unique and a
@@ -101,18 +111,20 @@ def exact_saddle(kind: PartitionKind, k: int, n: int, rtol: float = 1e-10,
     _validate_n(n)
     if not 0.0 < rtol <= 1e-3:
         raise ValueError(f"rtol must be in (0, 1e-3], got {rtol!r}")
-    s = bd_saddle(k, n, kind).s
+    s = _bd_s(kind, k, n)
     lo, hi = 0.0, math.inf
     for step in range(200):
-        g = mean(kind, k, s, eps) - n
-        if abs(g) <= rtol * n:  # step + 1 means and step variances so far
-            return SaddleResult(kind=kind, k=k, n=n, method=SaddleMethod.EXACT_ROOT,
-                                s=s, residual=g, evaluations=2 * step + 1)
+        pt = family_point(kind, k, s, eps)
+        g = pt.mean - n
+        if abs(g) <= rtol * n:
+            return SaddleResult(kind=kind, k=k, n=n, method=SaddleMethod.EXACT_ROOT, s=s,
+                                residual=g, log_f=pt.log_f, variance=pt.variance,
+                                evaluations=step + 1)
         if g > 0.0:
             lo = s
         else:
             hi = s
-        nxt = s + g / variance(kind, k, s, eps)
+        nxt = s + g / pt.variance
         if nxt == s or math.nextafter(lo, hi) >= hi:
             raise ConvergenceError("saddle iterate stopped moving", (lo, hi), s)
         if not lo < nxt < hi:
@@ -121,18 +133,16 @@ def exact_saddle(kind: PartitionKind, k: int, n: int, rtol: float = 1e-10,
     raise ConvergenceError("saddle iteration cap exceeded", (lo, hi), s)
 
 
-def hayman_estimate(kind: PartitionKind, k: int, n: int, saddle: SaddleResult,
-                    eps: float = 1e-12) -> LogEstimate:
-    """log of f(t_n) / (sqrt(2 pi) t_n^n sigma(t_n)) at the supplied saddle."""
-    if saddle.kind is not kind or saddle.k != k or saddle.n != n:
-        raise ValueError("saddle result does not match kind/k/n")
-    s = saddle.s
-    base, var = _derivatives(kind, k, s, (0, 2), eps)
-    log_value = base + n * s - _LOG_SQRT_TWO_PI - 0.5 * math.log(var)
+def hayman_estimate(saddle: SaddleResult) -> LogEstimate:
+    """log of f(t_n) / (sqrt(2 pi) t_n^n sigma(t_n)) at the saddle:
+    F(-s) + n s - log(sqrt(2 pi) sigma), from the saddle's own F(-s) and
+    variance."""
+    log_value = (saddle.log_f + saddle.n * saddle.s - _LOG_SQRT_TWO_PI
+                 - 0.5 * math.log(saddle.variance))
     formula = (EstimateFormula.HAYMAN if saddle.method is SaddleMethod.EXACT_ROOT
                else EstimateFormula.HAYMAN_BD)
-    return LogEstimate(log_value=log_value, n=n, k=k, kind=kind, formula=formula,
-                       heuristic=kind is PartitionKind.DISTINCT)
+    return LogEstimate(log_value=log_value, n=saddle.n, k=saddle.k, kind=saddle.kind,
+                       formula=formula, heuristic=saddle.kind is PartitionKind.DISTINCT)
 
 
 def hr_closed_form(k: int, n: int) -> LogEstimate:

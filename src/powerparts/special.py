@@ -1,9 +1,8 @@
 """Real special functions and the constant sets of the asymptotic formulas.
 
-zeta is evaluated by Euler-Maclaurin acceleration of the partial sums and
-gamma by the Stirling series after shifting the argument above 24; both are
-good to better than 1e-13 relative error on their domains, so the constants
-below are limited by float arithmetic, not by the evaluators.
+zeta is evaluated by Euler-Maclaurin acceleration of the partial sums, good
+to better than 1e-13 relative error for x > 1; Gamma is math.gamma.  The
+constants below are limited by float arithmetic, not by the evaluators.
 """
 
 from __future__ import annotations
@@ -31,10 +30,7 @@ _BERNOULLI = (
 # B_{2j} / (2j)!  for the zeta tail
 _ZETA_COEFF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1))
 
-# B_{2j} / ((2j-1)(2j)) for the Stirling series
-_STIRLING_COEFF = tuple(b / ((2 * j - 1) * (2 * j)) for j, b in enumerate(_BERNOULLI, start=1))
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_JSON_FORMAT = ".15g"  # significant digits of the constants in JSON
 
 
 def riemann_zeta(x: float) -> float:
@@ -64,28 +60,6 @@ def riemann_zeta(x: float) -> float:
     return acc
 
 
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0: Stirling series at x+n >= 24, divided back down."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x!r}")
-    shift = 0
-    y = x
-    while y < 24.0:
-        y += 1.0
-        shift += 1
-    lg = (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI
-    ypow = y
-    y2 = y * y
-    for coeff in _STIRLING_COEFF[:8]:
-        lg += coeff / ypow
-        ypow *= y2
-    g = math.exp(lg)
-    for i in range(shift):
-        g /= x + i
-    return g
-
-
 @dataclass(frozen=True)
 class ConstantSet:
     """All k-dependent constants of the asymptotic formulas, computed once.
@@ -102,15 +76,15 @@ class ConstantSet:
     alpha: float
     beta: float
 
-    def to_json_dict(self, digits: int = 15) -> dict:
-        fmt = f".{digits}g"
+    def to_json_dict(self) -> dict:
         return {
             "k": self.k,
-            "Omega": float(format(self.Omega, fmt)),
-            "Phi": float(format(self.Phi, fmt)),
-            "alpha": float(format(self.alpha, fmt)),
-            "beta": float(format(self.beta, fmt)),
-            "omega": {str(m): float(format(v, fmt)) for m, v in enumerate(self.omega)},
+            "Omega": float(format(self.Omega, _JSON_FORMAT)),
+            "Phi": float(format(self.Phi, _JSON_FORMAT)),
+            "alpha": float(format(self.alpha, _JSON_FORMAT)),
+            "beta": float(format(self.beta, _JSON_FORMAT)),
+            "omega": {str(m): float(format(v, _JSON_FORMAT))
+                      for m, v in enumerate(self.omega)},
         }
 
 
@@ -122,7 +96,7 @@ def constants(k: int, m_max: int = 8) -> ConstantSet:
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
     z = riemann_zeta(1.0 + 1.0 / k)
-    omega = tuple(z / k * gamma_fn(m + 1.0 / k) for m in range(m_max + 1))
+    omega = tuple(z / k * math.gamma(m + 1.0 / k) for m in range(m_max + 1))
     big_omega = omega[1]
     power = big_omega ** (k / (k + 1.0))
     return ConstantSet(
@@ -135,4 +109,4 @@ def constants(k: int, m_max: int = 8) -> ConstantSet:
     )
 
 
-__all__ = ["riemann_zeta", "gamma_fn", "ConstantSet", "constants"]
+__all__ = ["riemann_zeta", "ConstantSet", "constants"]

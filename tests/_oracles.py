@@ -112,6 +112,14 @@ def mp_fulcrum(kind: PartitionKind, k: int, s: float, m_max: int, dps: int = 40)
         return [+mpmath.fsum(t) for t in terms]
 
 
+def mp_omega(k: int, m: int, dps: int = 40):
+    """omega_{k,m} = zeta(1 + 1/k) Gamma(m + 1/k) / k as an mpmath number at
+    ``dps`` digits, with 1/k exact."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(1) / k
+        return +(mpmath.zeta(1 + x) * mpmath.gamma(m + x) / k)
+
+
 def mp_rel_err(value: float, ref, dps: int = 40) -> float:
     """|value - ref| / |ref| for a float against an mpmath reference."""
     with mpmath.workdps(dps):

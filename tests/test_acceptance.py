@@ -155,9 +155,8 @@ def test_criterion_08_estimator_coherence(thresholds):
             grid = fx["n_grid"]
             pairwise = []
             for n in grid:
-                e1 = hayman_estimate(U, int(k), n,
-                                     exact_saddle(U, int(k), n)).log_value
-                e2 = hayman_estimate(U, int(k), n, bd_saddle(int(k), n)).log_value
+                e1 = hayman_estimate(exact_saddle(U, int(k), n)).log_value
+                e2 = hayman_estimate(bd_saddle(int(k), n)).log_value
                 e3 = hr_closed_form(int(k), n).log_value
                 pairwise.append(max(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)))
             # shrinking toward 0 along the grid, top of grid below threshold

@@ -19,7 +19,7 @@ from powerparts.diagnostics import (CLT_S_GRID, DEFAULT_S_GRID,
                                     gaussianity_ratios, run_all, run_suite,
                                     strong_gauss_l1, twl_bound_scan)
 from powerparts.family import (char_fn_normalized, family_point, fulcrum,
-                               mean, pgf_modulus_ratio, variance)
+                               pgf_modulus_ratio)
 
 from _oracles import QuadratureFailed, composite_simpson, depth_first_simpson
 
@@ -184,8 +184,8 @@ def _seed_edges(k, s, theta_max):
 def _depth_first_strong_gauss_l1(kind, k, s, quad_tol):
     """strong_gauss_l1 from one scalar fulcrum call per node, integrated by the
     depth-first reference rule on the same seed panels."""
-    m = mean(kind, k, s)
-    sigma = math.sqrt(variance(kind, k, s))
+    pt = family_point(kind, k, s)
+    m, sigma = pt.mean, math.sqrt(pt.variance)
     base = fulcrum(kind, k, complex(-s)).real
 
     def integrand(theta):

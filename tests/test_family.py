@@ -9,8 +9,8 @@ from powerparts.bigcount import PartitionKind, count_partitions
 from powerparts.family import (SAMPLE_TAIL_EPS, FamilyPoint, TruncationError,
                                _axis, _derivatives, _fulcrum_at, _h_deriv_poly,
                                _series_terms, char_fn_normalized,
-                               family_point, fulcrum, mean, pgf_modulus_ratio,
-                               pmf, sample, variance)
+                               family_point, fulcrum, pgf_modulus_ratio, pmf,
+                               sample)
 
 from _oracles import char_fn_from_table, mp_fulcrum, mp_rel_err
 
@@ -187,23 +187,24 @@ class TestFulcrumDerivative:
 
 class TestMeanVariance:
     def test_mean_large_s_single_term(self):
-        assert math.isclose(mean(U, 1, 20.0), math.exp(-20.0), rel_tol=1e-7)
+        assert math.isclose(family_point(U, 1, 20.0).mean, math.exp(-20.0), rel_tol=1e-7)
 
     def test_variance_is_t_dm_dt(self):
         s, h = 0.3, 1e-6
-        fd = -(mean(U, 1, s + h) - mean(U, 1, s - h)) / (2.0 * h)
-        assert math.isclose(variance(U, 1, s), fd, rel_tol=1e-5)
+        fd = -(family_point(U, 1, s + h).mean
+               - family_point(U, 1, s - h).mean) / (2.0 * h)
+        assert math.isclose(family_point(U, 1, s).variance, fd, rel_tol=1e-5)
 
     def test_mean_asymptotic_head_k2(self):
         from powerparts.special import constants
         approx = constants(2).Omega * 0.01 ** -1.5
-        assert abs(mean(U, 2, 0.01) / approx - 1.0) < 0.05
+        assert abs(family_point(U, 2, 0.01).mean / approx - 1.0) < 0.05
 
     @pytest.mark.parametrize("kind", [U, D])
     @pytest.mark.parametrize("k", [1, 2])
     def test_mean_strictly_decreasing(self, kind, k):
         grid = [0.5 * 2.0**-i for i in range(8)]
-        vals = [mean(kind, k, s) for s in grid]
+        vals = [family_point(kind, k, s).mean for s in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))  # decreasing s, growing mean
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -213,12 +214,13 @@ class TestMeanVariance:
         # a relative step of 1e-6 moves the mean by about 1e-6 relative, far
         # above the 1e-12 series tolerance
         s = 10.0**log_s
-        assert mean(kind, k, s) > mean(kind, k, s * (1.0 + 10.0**log_step))
+        assert (family_point(kind, k, s).mean
+                > family_point(kind, k, s * (1.0 + 10.0**log_step)).mean)
 
     @pytest.mark.parametrize("kind", [U, D])
     def test_variance_positive(self, kind):
         for s in (0.01, 0.1, 1.0, 5.0):
-            assert variance(kind, 2, s) > 0.0
+            assert family_point(kind, 2, s).variance > 0.0
 
     def test_moments_match_table(self, tables_2000):
         table = tables_2000[(U, 1)]

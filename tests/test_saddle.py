@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerparts import saddle as sd
 from powerparts.bigcount import PartitionKind, count_partitions, log_integer
-from powerparts.family import fulcrum, mean
+from powerparts.family import family_point, fulcrum
 from powerparts.saddle import (ConvergenceError, EstimateFormula, SaddleMethod,
                                bd_saddle, exact_saddle, hayman_estimate,
                                hr_closed_form, qk_closed_form, second_order_logP)
@@ -14,21 +13,6 @@ from powerparts.special import constants
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
-
-
-def count_kernel_calls(monkeypatch) -> dict:
-    """Count the mean and variance evaluations made through the saddle module."""
-    calls = {"mean": 0, "variance": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(sd, name, counted(name, getattr(sd, name)))
-    return calls
 
 
 class TestBdSaddle:
@@ -64,7 +48,7 @@ class TestExactSaddle:
     def test_residual_contract(self, kind, k, n):
         rtol = 1e-10
         r = exact_saddle(kind, k, n, rtol=rtol)
-        assert abs(mean(kind, k, r.s) - n) <= rtol * n
+        assert abs(family_point(kind, k, r.s).mean - n) <= rtol * n
         assert abs(r.residual) <= rtol * n
         assert r.method is SaddleMethod.EXACT_ROOT
 
@@ -75,11 +59,11 @@ class TestExactSaddle:
 
     def test_smallest_target(self):
         r = exact_saddle(U, 1, 1)
-        assert abs(mean(U, 1, r.s) - 1.0) <= 1e-10
+        assert abs(family_point(U, 1, r.s).mean - 1.0) <= 1e-10
 
     def test_k3_converges(self):
         r = exact_saddle(U, 3, 5000)
-        assert abs(mean(U, 3, r.s) - 5000.0) <= 1e-10 * 5000.0
+        assert abs(family_point(U, 3, r.s).mean - 5000.0) <= 1e-10 * 5000.0
 
     def test_rtol_validated(self):
         with pytest.raises(ValueError):
@@ -87,33 +71,35 @@ class TestExactSaddle:
         with pytest.raises(ValueError):
             exact_saddle(U, 1, 100, rtol=0.0)
 
-    def test_stall_raises_at_once(self, monkeypatch):
+    def test_stall_raises_at_once(self, axis_passes):
         # rtol * n = 1e-10 lies below the rounding of a mean of 1e6
-        calls = count_kernel_calls(monkeypatch)
         n = 10**6
         with pytest.raises(ConvergenceError) as info:
             exact_saddle(U, 1, n, rtol=1e-16)
+        passes = len(axis_passes)
         lo, hi = info.value.bracket
         assert 0.0 < lo < hi <= lo * (1.0 + 1e-13)
         assert lo <= info.value.best <= hi
-        assert mean(U, 1, lo) > n > mean(U, 1, hi)
-        assert calls["mean"] + calls["variance"] <= 17
+        assert family_point(U, 1, lo).mean > n > family_point(U, 1, hi).mean
+        assert passes <= 9
 
     @pytest.mark.parametrize("kind", [U, D])
-    def test_evaluations_counted(self, kind, monkeypatch):
-        calls = count_kernel_calls(monkeypatch)
+    def test_evaluations_counted(self, kind, axis_passes):
+        terms = 1 if kind is U else 2
         r = exact_saddle(kind, 2, 10**5)
-        assert r.evaluations == calls["mean"] + calls["variance"] > 0
-        assert bd_saddle(2, 10**5, kind).evaluations == 0
+        assert axis_passes == [[0, 1, 2]] * (terms * r.evaluations) and r.evaluations > 0
+        axis_passes.clear()
+        assert bd_saddle(2, 10**5, kind).evaluations == 1
+        assert axis_passes == [[0, 2]] * terms
 
     @pytest.mark.parametrize("kind", [U, D])
     @pytest.mark.parametrize("k", range(1, 7))
     def test_evaluations_bounded(self, kind, k):
         # Newton from s_bd: at most four steps from n = 10^3 on
         for e in range(3, 9 if k == 1 else 14):
-            assert exact_saddle(kind, k, 10**e).evaluations <= 9, e
+            assert exact_saddle(kind, k, 10**e).evaluations <= 5, e
         for n in (1, 2, 3, 10, 100, 999):
-            assert exact_saddle(kind, k, n).evaluations <= 17, n
+            assert exact_saddle(kind, k, n).evaluations <= 9, n
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(kind=st.sampled_from([U, D]), k=st.integers(1, 6),
@@ -126,24 +112,28 @@ class TestExactSaddle:
         rtol = 10.0 ** log_rtol
         r = exact_saddle(kind, k, n, rtol=rtol)
         assert abs(r.residual) <= rtol * n
-        assert r.residual == mean(kind, k, r.s) - n
+        assert r.residual == family_point(kind, k, r.s).mean - n
         # the root lies within a relative 1e-6 of s, or within 4 rtol where
         # rtol allows more: over a relative step delta near the root the
         # mean moves by about (1 + 1/k) n delta, more than rtol * n
         delta = max(1e-6, 4.0 * rtol)
-        assert mean(kind, k, r.s * (1.0 - delta)) > n > mean(kind, k, r.s * (1.0 + delta))
+        assert (family_point(kind, k, r.s * (1.0 - delta)).mean > n
+                > family_point(kind, k, r.s * (1.0 + delta)).mean)
 
 
 class TestHaymanEstimate:
     @pytest.mark.parametrize("kind", [U, D])
     def test_one_real_axis_pass(self, axis_passes, kind):
-        # F(-s) and the variance at the saddle from one pass
-        hayman_estimate(kind, 2, 1000, bd_saddle(2, 1000, kind))
+        # the closed-form saddle sums F(-s) and the variance in one pass, and
+        # the estimate reads them from the saddle
+        saddle = bd_saddle(2, 1000, kind)
+        assert axis_passes == [[0, 2]] * (1 if kind is U else 2)
+        hayman_estimate(saddle)
         assert axis_passes == [[0, 2]] * (1 if kind is U else 2)
 
     def test_ratio_n500(self, thresholds):
         table = count_partitions(U, 1, 500)
-        est = hayman_estimate(U, 1, 500, exact_saddle(U, 1, 500))
+        est = hayman_estimate(exact_saddle(U, 1, 500))
         ratio = math.exp(est.log_value - log_integer(table.coeffs[500]))
         assert 0.9 < ratio < 1.1
         assert math.isclose(ratio, thresholds["spot_ratios"]["hayman_exact_k1_n500"],
@@ -153,37 +143,36 @@ class TestHaymanEstimate:
         table = count_partitions(U, 1, 1024)
         devs = []
         for n in (128, 256, 512, 1024):
-            est = hayman_estimate(U, 1, n, exact_saddle(U, 1, n))
+            est = hayman_estimate(exact_saddle(U, 1, n))
             devs.append(abs(math.exp(est.log_value - log_integer(table.coeffs[n])) - 1.0))
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_bd_converges_to_exact(self):
         diffs = []
         for n in (128, 1024, 8192, 65536):
-            e_exact = hayman_estimate(U, 1, n, exact_saddle(U, 1, n)).log_value
-            e_bd = hayman_estimate(U, 1, n, bd_saddle(1, n)).log_value
+            e_exact = hayman_estimate(exact_saddle(U, 1, n)).log_value
+            e_bd = hayman_estimate(bd_saddle(1, n)).log_value
             diffs.append(abs(e_exact - e_bd))
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
 
     def test_formula_tags(self):
-        assert (hayman_estimate(U, 1, 50, exact_saddle(U, 1, 50)).formula
+        assert (hayman_estimate(exact_saddle(U, 1, 50)).formula
                 is EstimateFormula.HAYMAN)
-        assert (hayman_estimate(U, 1, 50, bd_saddle(1, 50)).formula
+        assert (hayman_estimate(bd_saddle(1, 50)).formula
                 is EstimateFormula.HAYMAN_BD)
 
     def test_distinct_flagged_heuristic(self):
-        est = hayman_estimate(D, 1, 50, exact_saddle(D, 1, 50))
+        est = hayman_estimate(exact_saddle(D, 1, 50))
         assert est.heuristic
-        assert not hayman_estimate(U, 1, 50, exact_saddle(U, 1, 50)).heuristic
+        assert not hayman_estimate(exact_saddle(U, 1, 50)).heuristic
 
     def test_saddle_mismatch(self):
-        saddle = exact_saddle(U, 1, 50)
-        with pytest.raises(ValueError):
-            hayman_estimate(U, 2, 50, saddle)
-        with pytest.raises(ValueError):
-            hayman_estimate(D, 1, 50, saddle)
-        with pytest.raises(ValueError):
-            hayman_estimate(U, 1, 51, saddle)
+        # the estimate takes kind, k and n from its saddle, so it cannot be
+        # made for one (kind, k, n) from the saddle of another
+        cases = [(U, 1, 50), (U, 2, 50), (D, 1, 50), (U, 1, 51)]
+        ests = [hayman_estimate(exact_saddle(*case)) for case in cases]
+        assert [(e.kind, e.k, e.n) for e in ests] == cases
+        assert len({e.log_value for e in ests}) == len(cases)
 
 
 class TestClosedForms:
@@ -206,7 +195,7 @@ class TestClosedForms:
     def test_hr_equals_bd_hayman_in_the_limit(self):
         diffs = []
         for n in (128, 1024, 8192, 65536):
-            bd = hayman_estimate(U, 2, n, bd_saddle(2, n)).log_value
+            bd = hayman_estimate(bd_saddle(2, n)).log_value
             hr = hr_closed_form(2, n).log_value
             diffs.append(abs(bd - hr))
         assert all(b < a for a, b in zip(diffs, diffs[1:]))

@@ -3,9 +3,9 @@ import math
 import mpmath
 import pytest
 
-from powerparts.special import constants, gamma_fn, riemann_zeta
+from powerparts.special import constants, riemann_zeta
 
-from _oracles import mp_rel_err, zeta_bracket
+from _oracles import mp_omega, mp_rel_err, zeta_bracket
 
 
 class TestZeta:
@@ -35,11 +35,19 @@ class TestZeta:
 
 
 class TestGamma:
+    """Gamma as the constants take it: omega[m] = zeta(1+1/k) Gamma(m+1/k) / k."""
+
+    @staticmethod
+    def gamma_of(k: int, m: int) -> float:
+        return constants(k).omega[m] * k / riemann_zeta(1.0 + 1.0 / k)
+
     def test_factorial_point(self):
-        assert math.isclose(gamma_fn(2.0), 1.0, rel_tol=1e-13)
+        # k = 1 gives Gamma(m + 1) = m!
+        for m in range(1, 9):
+            assert math.isclose(self.gamma_of(1, m), math.factorial(m), rel_tol=1e-13), m
 
     def test_half(self):
-        assert math.isclose(gamma_fn(0.5), math.sqrt(math.pi), rel_tol=1e-13)
+        assert math.isclose(self.gamma_of(2, 0), math.sqrt(math.pi), rel_tol=1e-13)
 
     def test_half_vs_quadrature(self):
         # Gamma(1/2) = 2 * integral_0^inf e^(-u^2) du, by trapezoid: the
@@ -47,27 +55,32 @@ class TestGamma:
         h = 1e-3
         grid_sum = math.fsum(math.exp(-(i * h) ** 2) for i in range(1, 9001))
         integral = h * (0.5 + grid_sum)
-        assert math.isclose(gamma_fn(0.5), 2 * integral, rel_tol=1e-10)
+        assert math.isclose(self.gamma_of(2, 0), 2 * integral, rel_tol=1e-10)
 
     def test_three_halves(self):
-        assert math.isclose(gamma_fn(1.5), math.sqrt(math.pi) / 2, rel_tol=1e-13)
+        assert math.isclose(self.gamma_of(2, 1), math.sqrt(math.pi) / 2, rel_tol=1e-13)
 
     def test_functional_equation(self):
-        x = 0.1
-        while x <= 10.0:
-            assert math.isclose(gamma_fn(x + 1.0), x * gamma_fn(x), rel_tol=1e-12)
-            x += 0.37
+        # Gamma(x + 1) = x Gamma(x) at x = m + 1/k
+        for k in range(1, 7):
+            omega = constants(k).omega
+            for m in range(len(omega) - 1):
+                assert math.isclose(omega[m + 1], (m + 1.0 / k) * omega[m],
+                                    rel_tol=1e-12), (k, m)
 
     def test_against_stdlib(self):
-        x = 0.05
-        while x < 60.0:
-            assert math.isclose(gamma_fn(x), math.gamma(x), rel_tol=1e-13), x
-            x *= 1.31
+        for k in range(1, 13):
+            z = riemann_zeta(1.0 + 1.0 / k)
+            omega = constants(k, m_max=12).omega
+            assert len(omega) == 13
+            for m, v in enumerate(omega):
+                assert math.isclose(v, z / k * math.gamma(m + 1.0 / k), rel_tol=1e-13), (k, m)
 
     def test_domain(self):
-        for x in (0.0, -1.5):
+        # every Gamma argument m + 1/k is positive: k must be a positive integer
+        for k in (0, -1, 2.0):
             with pytest.raises(ValueError):
-                gamma_fn(x)
+                constants(k)
 
 
 class TestConstants:
@@ -124,10 +137,9 @@ class TestMpmathAudit:
                         for k in range(1, 7))
         assert worst <= fx["riemann_zeta"]["threshold"]
 
-    def test_gamma_40_digits(self, thresholds):
+    def test_omega_40_digits(self, thresholds):
+        # omega_{k,m} = zeta(1 + 1/k) Gamma(m + 1/k) / k carries Gamma's error
         fx = thresholds["mpmath_audit"]
-        with mpmath.workdps(fx["dps"]):
-            worst = max(mp_rel_err(gamma_fn(m + 1.0 / k),
-                                   mpmath.gamma(mpmath.mpf(m + 1.0 / k)), fx["dps"])
-                        for k in range(1, 7) for m in range(9))
-        assert worst <= fx["gamma_fn"]["threshold"]
+        worst = max(mp_rel_err(constants(k).omega[m], mp_omega(k, m, fx["dps"]), fx["dps"])
+                    for k in range(1, 7) for m in range(9))
+        assert worst <= fx["omega"]["threshold"]
