@@ -11,7 +11,6 @@ integers; tables are immutable once built.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from itertools import cycle
@@ -24,13 +23,6 @@ class PartitionKind(enum.Enum):
 
     UNRESTRICTED = "unrestricted"
     DISTINCT = "distinct"
-
-    @classmethod
-    def parse(cls, text: str) -> "PartitionKind":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(f"unknown partition kind: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,23 +40,6 @@ class CoeffTable:
 
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def to_csv(self) -> str:
-        lines = ["n,coeff"]
-        lines.extend(f"{n},{c}" for n, c in enumerate(self.coeffs))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        # exact decimal strings: JSON numbers would silently lose precision
-        return {
-            "kind": self.kind.value,
-            "k": self.k,
-            "n_max": self.n_max,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _validate_args(k: int, n: int, name: str = "n_max", least: int = 0) -> None:

@@ -1,5 +1,6 @@
 """Command-line front end: counting, constants, family evaluation, asymptotic
 estimators, ratio tables, and diagnostics suites with machine-readable output.
+The library returns plain data; every CSV and JSON byte is written here.
 
 Exit codes: 0 success, 2 usage/parameter error, 1 computation error.
 Identical invocations (including --seed) produce byte-identical output.
@@ -8,6 +9,7 @@ Identical invocations (including --seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,9 +45,9 @@ def _number(cast, above):
 
 def _kind(text: str) -> PartitionKind:
     try:
-        return PartitionKind.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return PartitionKind(text.strip().lower())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown partition kind: {text!r}") from None
 
 
 def _grid(forms=("linear",), cast=float, positive=False):
@@ -96,6 +98,16 @@ def _fmt(x: float) -> str:
     return format(x, ".15g")
 
 
+def _num(x: float) -> float:
+    """x at the printed digits, as a JSON number."""
+    return float(_fmt(x))
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of string cells."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -121,15 +133,23 @@ def _check_budget(args: argparse.Namespace, what: str, n: int, fix: str) -> None
 def _cmd_count(args: argparse.Namespace) -> int:
     _check_budget(args, "--n-max", args.n_max, "--n-max")
     count = count_via_log_recurrence if args.method == "recurrence" else count_partitions
-    table = count(args.kind, args.k, args.n_max)
-    _emit(_json_dumps(table.to_json_dict()) if args.format == "json" else table.to_csv(),
-          args.output)
+    coeffs = count(args.kind, args.k, args.n_max).coeffs
+    if args.format == "json":
+        # exact decimal strings: JSON numbers would silently lose precision
+        _emit(_json_dumps({"kind": args.kind.value, "k": args.k, "n_max": args.n_max,
+                           "coeffs": list(map(str, coeffs))}), args.output)
+    else:
+        _emit(_csv("n,coeff", ((str(n), str(c)) for n, c in enumerate(coeffs))),
+              args.output)
     return 0
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     cs = constants(args.k, m_max=args.m_max)
-    _emit(_json_dumps(cs.to_json_dict()), args.output)
+    payload = {"k": cs.k, "Omega": _num(cs.Omega), "Phi": _num(cs.Phi),
+               "alpha": _num(cs.alpha), "beta": _num(cs.beta),
+               "omega": {str(m): _num(v) for m, v in enumerate(cs.omega)}}
+    _emit(_json_dumps(payload), args.output)
     return 0
 
 
@@ -137,11 +157,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
     pt = family_point(args.kind, args.k, args.s, args.eps)
     thetas = args.theta_grid if args.theta_grid is not None else [0.0]
     cfs = char_fn_normalized(pt, thetas)
-    lines = ["s,mean,variance,theta,cf_real,cf_imag"]
-    for theta, cf in zip(thetas, cfs.tolist()):
-        lines.append(",".join([_fmt(pt.s), _fmt(pt.mean), _fmt(pt.variance), _fmt(theta),
-                               _fmt(cf.real), _fmt(cf.imag)]))
-    _emit("\n".join(lines) + "\n", args.output)
+    rows = ([_fmt(pt.s), _fmt(pt.mean), _fmt(pt.variance), _fmt(theta),
+             _fmt(cf.real), _fmt(cf.imag)] for theta, cf in zip(thetas, cfs.tolist()))
+    _emit(_csv("s,mean,variance,theta,cf_real,cf_imag", rows), args.output)
     return 0
 
 
@@ -171,9 +189,9 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         "method": args.method,
         "formula": est.formula.value,
         "heuristic": est.heuristic,
-        "log_value": float(_fmt(est.log_value)),
-        "s": None if saddle is None else float(_fmt(saddle.s)),
-        "residual": None if saddle is None else float(_fmt(saddle.residual)),
+        "log_value": _num(est.log_value),
+        "s": None if saddle is None else _num(saddle.s),
+        "residual": None if saddle is None else _num(saddle.residual),
     }
     _emit(_json_dumps(payload), args.output)
     return 0
@@ -185,9 +203,7 @@ def _cmd_ratio_table(args: argparse.Namespace) -> int:
     _check_budget(args, "n-grid maximum", grid[-1], "a grid")
     table = count_partitions(kind, k, grid[-1])
     closed = "hr" if kind is PartitionKind.UNRESTRICTED else "qk"
-    header = ("n,exact_log,hayman_exact_log,hayman_bd_log,closed_form_log,"
-              "hayman_exact_ratio,hayman_bd_ratio,closed_form_ratio")
-    lines = [header]
+    rows = []
     for n in grid:
         if table.coeffs[n] == 0:
             raise UsageError(
@@ -199,8 +215,9 @@ def _cmd_ratio_table(args: argparse.Namespace) -> int:
         row = [str(n), _fmt(exact_log)]
         row += [_fmt(e.log_value) for e in ests]
         row += [_fmt(math.exp(e.log_value - exact_log)) for e in ests]
-        lines.append(",".join(row))
-    _emit("\n".join(lines) + "\n", args.output)
+        rows.append(row)
+    _emit(_csv("n,exact_log,hayman_exact_log,hayman_bd_log,closed_form_log,"
+               "hayman_exact_ratio,hayman_bd_ratio,closed_form_ratio", rows), args.output)
     return 0
 
 
@@ -215,20 +232,17 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         reports = {args.suite: diag.run_suite(args.kind, args.k, args.suite,
                                               s_grid=args.s_grid, **kwargs)}
     if args.csv:
-        lines = ["metric,s,value"]
-        for name in sorted(reports):
-            rep = reports[name]
-            for metric in sorted(rep.metrics):
-                for s, v in zip(rep.grid, rep.metrics[metric]):
-                    lines.append(f"{metric},{_fmt(s)},{_fmt(v)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        rows = ([metric, _fmt(s), _fmt(v)] for _, rep in sorted(reports.items())
+                for metric, seq in sorted(rep.metrics.items())
+                for s, v in zip(rep.grid, seq))
+        _emit(_csv("metric,s,value", rows), args.output)
         return 0
-    if args.suite == "all":
-        payload = {"suites": {name: rep.to_json_dict()
-                              for name, rep in sorted(reports.items())}}
-    else:
-        payload = reports[args.suite].to_json_dict()
-    _emit(_json_dumps(payload), args.output)
+    # JSON writes the reports' tuples as arrays
+    payloads = {name: {"kind": rep.kind.value, "k": rep.k, "grid": rep.grid,
+                       "metrics": rep.metrics, "verdicts": rep.verdicts}
+                for name, rep in reports.items()}
+    _emit(_json_dumps({"suites": payloads} if args.suite == "all" else payloads[args.suite]),
+          args.output)
     return 0
 
 
@@ -236,7 +250,10 @@ class UsageError(Exception):
     """Parameter problem detected after argparse (still exit code 2)."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every main call:
+    callers parse with it and never change it."""
     parser = argparse.ArgumentParser(
         prog="powerparts",
         description="Exact counts, Khinchin-family evaluation, saddle-point "

@@ -56,15 +56,6 @@ class DiagnosticsReport:
             if len(seq) != len(self.grid):
                 raise ValueError(f"metric {name!r} not aligned with grid")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "k": self.k,
-            "grid": list(self.grid),
-            "metrics": {name: list(seq) for name, seq in self.metrics.items()},
-            "verdicts": self.verdicts,
-        }
-
 
 def gaussianity_ratios(kind: PartitionKind, k: int, s: float, m_max: int = 6,
                        eps: float = 1e-12) -> list:

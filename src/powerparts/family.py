@@ -122,7 +122,7 @@ def _series_terms(k: int, s: float, eps: float, m: int = 0) -> SeriesTruncation:
         raise ValueError(f"requires eps > 0, got {eps!r}")
     target = eps * (-math.expm1(-s))
     seed = (max(math.log(1.0 / target), 1.0) / s) ** (1.0 / k)
-    j = max(8, math.ceil(seed))
+    j = max(8, math.ceil(min(seed, SERIES_CAP)))  # seed is inf when 1/target overflows
     poly_at_one = float(sum(_h_deriv_poly(m))) if m else 1.0
     while True:
         bound = _tail_certificate(k, s, j, m * k, poly_at_one)

@@ -30,8 +30,6 @@ _BERNOULLI = (
 # B_{2j} / (2j)!  for the zeta tail
 _ZETA_COEFF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1))
 
-_JSON_FORMAT = ".15g"  # significant digits of the constants in JSON
-
 
 def riemann_zeta(x: float) -> float:
     """zeta(x) for x > 1, via Euler-Maclaurin acceleration at cutoff N = 24.
@@ -75,17 +73,6 @@ class ConstantSet:
     Phi: float
     alpha: float
     beta: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "Omega": float(format(self.Omega, _JSON_FORMAT)),
-            "Phi": float(format(self.Phi, _JSON_FORMAT)),
-            "alpha": float(format(self.alpha, _JSON_FORMAT)),
-            "beta": float(format(self.beta, _JSON_FORMAT)),
-            "omega": {str(m): float(format(v, _JSON_FORMAT))
-                      for m, v in enumerate(self.omega)},
-        }
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -166,23 +165,6 @@ class TestProductIdentity:
                          coeffs=q.coeffs[:10] + (q.coeffs[10] + 1,) + q.coeffs[11:])
         rep = verify_product_identity(1, 50, tables=(p, bad))
         assert not rep.ok and rep.first_mismatch == 10
-
-
-class TestSerialization:
-    def test_csv_exact_decimals(self):
-        table = count_partitions(U, 1, 2000)
-        lines = table.to_csv().strip().split("\n")
-        assert lines[0] == "n,coeff"
-        assert len(lines) == 2002
-        n, coeff = lines[-1].split(",")
-        assert n == "2000" and int(coeff) == table.coeffs[2000]
-        assert len(coeff) == 46  # p(2000) has 46 digits; no float rounding
-
-    def test_json_round_trip(self):
-        table = count_partitions(D, 2, 40)
-        payload = json.loads(table.to_json())
-        assert payload["kind"] == "distinct"
-        assert [int(c) for c in payload["coeffs"]] == list(table.coeffs)
 
 
 class TestLogInteger:

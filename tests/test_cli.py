@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerparts import family
-from powerparts.bigcount import PartitionKind
-from powerparts.cli import _grid, main
+from powerparts.bigcount import PartitionKind, count_partitions
+from powerparts.cli import _grid, build_parser, main
 
 from _schema import validate
 
@@ -42,11 +42,25 @@ class TestCount:
         assert len(lines) == 12
         assert lines[5] == "4,2"
 
+    def test_csv_exact_decimals(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--k", "1", "--n-max", "2000")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "n,coeff" and len(lines) == 2002
+        n, coeff = lines[-1].split(",")
+        p_2000 = count_partitions(PartitionKind.UNRESTRICTED, 1, 2000)[2000]
+        assert n == "2000" and int(coeff) == p_2000
+        assert len(coeff) == 46  # p(2000) has 46 digits; no float rounding
+
     def test_json_validates(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--kind", "distinct", "--k", "2",
-                               "--n-max", "16", "--format", "json")
+                               "--n-max", "40", "--format", "json")
         assert code == 0
-        assert validate(json.loads(out), load_schema("count.schema.json")) == []
+        payload = json.loads(out)
+        assert validate(payload, load_schema("count.schema.json")) == []
+        assert payload["kind"] == "distinct"
+        table = count_partitions(PartitionKind.DISTINCT, 2, 40)
+        assert [int(c) for c in payload["coeffs"]] == list(table.coeffs)
 
     def test_methods_agree_byte_identical(self, capsys):
         _, out_dp, _ = run_cli(capsys, "count", "--k", "3", "--n-max", "64")
@@ -116,6 +130,9 @@ class TestConstants:
         payload = json.loads(out)
         assert math.isclose(payload["beta"], math.pi * math.sqrt(2.0 / 3.0),
                             rel_tol=1e-14)
+        # 15 significant digits of beta = 2.5650996603237280...
+        assert '"beta": 2.56509966032373,' in out
+        assert isinstance(payload["omega"], dict)
 
     def test_schema(self, capsys):
         for k in ("1", "4"):
@@ -164,7 +181,7 @@ class TestFamily:
         assert axis_passes == [[0, 1, 2]] * (1 if kind == "unrestricted" else 2)
         assert calls == [([0, 1, 2], 0), ([0], 4)]
         monkeypatch.undo()
-        cfs = family.char_fn_normalized(family.family_point(PartitionKind.parse(kind), 2, 0.1),
+        cfs = family.char_fn_normalized(family.family_point(PartitionKind(kind), 2, 0.1),
                                         [0.0, 0.5, 1.0, 1.5, 2.0])
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [(float(r[4]), float(r[5])) for r in rows] == [
@@ -475,6 +492,30 @@ class TestProperties:
 class TestTopLevel:
     def test_no_command(self, capsys):
         assert run_cli(capsys)[0] == 2
+
+    def test_one_parser_per_process(self):
+        # usage errors, then valid commands, then all of them in reverse
+        # order: one argparse tree serves every call, with the exit codes,
+        # stdout and stderr of a freshly built tree
+        argvs = [[], ["count", "--k", "0", "--n-max", "5"],
+                 ["family", "--k", "1", "--s", "0.5", "--theta-grid", "0:2"],
+                 ["asymptotic", "--kind", "distinct", "--k", "1", "--n", "100",
+                  "--method", "hr"],
+                 ["asymptotic", "--help"], ["constants", "--k", "2"],
+                 ["count", "--kind", "distinct", "--k", "2", "--n-max", "20",
+                  "--format", "json"],
+                 ["asymptotic", "--k", "1", "--n", "1000", "--method", "hr"],
+                 ["family", "--k", "2", "--s", "0.3", "--theta-grid", "0:1:3"],
+                 ["diagnose", "--k", "1", "--suite", "em", "--csv"]]
+        build_parser.cache_clear()
+        shared = [_cli_text(argv) for argv in argvs + argvs[::-1]]
+        assert build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in argvs:
+            build_parser.cache_clear()
+            fresh.append(_cli_text(argv))
+        assert [code for code, _, _ in fresh] == [2, 2, 2, 2, 0, 0, 0, 0, 0, 0]
+        assert shared == fresh + fresh[::-1]
 
     def test_computation_error_exit_one(self, capsys):
         # series cap unreachable at this s: truncation failure -> exit 1

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerparts.bigcount import PartitionKind, count_partitions
-from powerparts.family import (SAMPLE_TAIL_EPS, FamilyPoint, TruncationError,
-                               _axis, _derivatives, _fulcrum_at, _h_deriv_poly,
-                               _series_terms, char_fn_normalized,
-                               family_point, fulcrum, pgf_modulus_ratio, pmf,
-                               sample)
+from powerparts.family import (SAMPLE_TAIL_EPS, SERIES_CAP, FamilyPoint,
+                               TruncationError, _axis, _derivatives,
+                               _fulcrum_at, _h_deriv_poly, _series_terms,
+                               char_fn_normalized, family_point, fulcrum,
+                               pgf_modulus_ratio, pmf, sample)
 
 from _oracles import char_fn_from_table, mp_fulcrum, mp_rel_err
 
@@ -49,6 +49,14 @@ class TestFulcrum:
         assert exc.value.achieved > exc.value.requested
         assert exc.value.terms >= 10**8
 
+    @pytest.mark.parametrize("m, s", [(0, 1e-7), (2, 3e-7), (0, 1e-300)])
+    def test_seed_past_the_cap_stops_at_the_cap(self, m, s):
+        # arithmetic only: a closed-form seed past SERIES_CAP (4.4e8 terms at
+        # s = 1e-7, 1.4e8 at 3e-7, inf at 1e-300) is certified at the cap
+        with pytest.raises(TruncationError) as exc:
+            _series_terms(1, s, 1e-12, m)
+        assert exc.value.terms == SERIES_CAP
+
     @pytest.mark.parametrize("kind", [U, D])
     @pytest.mark.parametrize("m", [0, 3])
     def test_batch_equals_single_points(self, kind, m):
@@ -68,7 +76,6 @@ class TestFulcrum:
 
     def test_tail_certificate_is_a_bound(self):
         # the certified truncation really bounds what a longer sum adds
-        from powerparts.family import _series_terms
         for k, s in ((1, 0.05), (2, 0.2)):
             tr = _series_terms(k, s, 1e-8)
             extra = math.fsum(

@@ -116,11 +116,6 @@ class TestConstants:
         assert all(v > 0 for v in cs.omega)
         assert all(b > a for a, b in zip(cs.omega[2:], cs.omega[3:]))
 
-    def test_json_digits(self):
-        d = constants(1).to_json_dict()
-        assert isinstance(d["omega"], dict)
-        assert math.isclose(d["beta"], 2.565099660323728, rel_tol=1e-14)
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             constants(0)
