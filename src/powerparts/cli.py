@@ -95,7 +95,13 @@ def _grid(forms=("linear",), cast=float, positive=False):
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".15g")
+    """x at 15 significant digits; refused when they do not read back as a
+    finite number (the four largest float64 values print as
+    1.79769313486232e+308, which reads back as inf)."""
+    text = format(x, ".15g")
+    if not math.isfinite(float(text)):
+        raise OverflowError(f"{x!r} rounds past float64 at 15 digits")
+    return text
 
 
 def _num(x: float) -> float:

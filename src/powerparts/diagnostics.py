@@ -261,7 +261,7 @@ def clt_empirical_check(kind: PartitionKind, k: int, s: float, draws: int,
     pt = family_point(kind, k, s, eps)
     xs = sample(pt, draws, seed)
     z = np.sort((xs - pt.mean) / math.sqrt(pt.variance))
-    cdf = np.array([0.5 * math.erfc(-t / _SQRT2) for t in z])
+    cdf = np.array([0.5 * math.erfc(-t / _SQRT2) for t in z.tolist()])
     i = np.arange(1, draws + 1, dtype=float)
     d_plus = np.max(i / draws - cdf)
     d_minus = np.max(cdf - (i - 1.0) / draws)

@@ -10,6 +10,16 @@ sums the three, and a FamilyPoint carries them.
 Series are truncated with a certified tail bound (recorded in
 SeriesTruncation) and accumulated with math.fsum over numpy-generated
 terms, so accumulation error is a single rounding.
+
+At k = 1 the real axis has a closed form: the eta transformation gives
+F(-s) = pi^2/(6s) + (log s - log 2pi)/2 - s/24 + F(-4pi^2/s), and each
+derivative order in O(1).  An order takes it, dropping F(-4pi^2/s), when a
+Cauchy bound on that term's derivative is at most the order's eps; at
+eps = 1e-12 that holds for orders 0..2 up to s ~ 0.88 and for every order
+up to s ~ 0.54, and past its edge an order's series needs at most about
+150 terms (30 for the value).  So SERIES_CAP no longer limits the k = 1
+real axis; a closed-form value past float64 raises OverflowError.  Points
+off the axis, k >= 2 and sample keep the series.
 """
 
 from __future__ import annotations
@@ -32,6 +42,8 @@ _BLOCK = 1 << 15  # elements in one block of the points-by-parts outer product
 _FSUM_CHUNK = 4096  # floats converted at a time for math.fsum
 
 _LN2 = math.log(2.0)
+_LOG_2PI = math.log(2.0 * math.pi)
+_PI2_6 = math.pi**2 / 6.0
 
 
 class TruncationError(RuntimeError):
@@ -156,14 +168,55 @@ def _fsum(vals: np.ndarray) -> float:
         vals[i:i + _FSUM_CHUNK].tolist() for i in range(0, vals.size, _FSUM_CHUNK)))
 
 
+def _eta_log_bound(s: float, m: int) -> float:
+    """log of a certified bound on |R^(m)(s)|, where R(s) = F(-4 pi^2/s) is
+    the term the k = 1 closed form drops.  R is analytic on Re s > 0 and
+    Re(1/w) >= 2/(3s) on the disk |w - s| <= s/2, so there
+    |R(w)| <= sum_j x^j/(1 - x^j) <= x/(1 - x)^2 with x = e^(-8 pi^2/(3s)),
+    and Cauchy's estimate on that circle gives
+    |R^(m)(s)| <= m! (2/s)^m x/(1 - x)^2."""
+    a = 8.0 * math.pi**2 / (3.0 * s)
+    return (math.lgamma(m + 1) + m * (_LN2 - math.log(s)) - a
+            - 2.0 * math.log(-math.expm1(-a)))
+
+
+def _eta_axis(s: float, m: int) -> float:
+    """F^(m)(-s) of the k = 1 unrestricted fulcrum from the eta transformation
+    F(-s) = pi^2/(6s) + (log s - log 2pi)/2 - s/24 + F(-4pi^2/s), without its
+    last term: order m >= 1 is (-1)^m times the m-th s-derivative,
+    (pi^2/6) m! s^(-m-1) - (m-1)!/2 s^(-m) (+ 1/24 at m = 1).  Raises
+    OverflowError when the value is not finite in float64."""
+    try:
+        if m == 0:
+            value = _PI2_6 / s + 0.5 * (math.log(s) - _LOG_2PI) - s / 24.0
+        else:
+            value = (s ** -m * (_PI2_6 * math.factorial(m) / s - 0.5 * math.factorial(m - 1))
+                     + (1.0 / 24.0 if m == 1 else 0.0))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"F^({m})(-s) at s={s!r} is beyond float64 range")
+    return value
+
+
 def _axis(k: int, s: float, orders: list) -> list:
     """F^(m)(-s) (m = 0: the value F(-s)) of the unrestricted fulcrum for
-    each (m, eps) of orders, in real arithmetic from one pass.  The parts'
-    powers, expm1(-j^k s) and exp(-j^k s) are built once, at the largest
-    truncation among the orders, and order m sums the first J_m terms, those
-    of its own truncation: each value is that of a pass for it alone."""
+    each (m, eps) of orders, from one pass.  At k = 1 an order whose dropped
+    eta term is certified at most eps comes from the closed form of
+    _eta_axis; the other orders come from one _axis_series pass."""
+    closed = [k == 1 and _eta_log_bound(s, m) <= math.log(eps) for m, eps in orders]
+    summed = iter(_axis_series(k, s, [o for o, c in zip(orders, closed) if not c]))
+    return [_eta_axis(s, m) if c else next(summed) for (m, _), c in zip(orders, closed)]
+
+
+def _axis_series(k: int, s: float, orders: list) -> list:
+    """The direct series of _axis for each (m, eps) of orders, in real
+    arithmetic.  The parts' powers, expm1(-j^k s) and exp(-j^k s) are built
+    once, at the largest truncation among the orders, and order m sums the
+    first J_m terms, those of its own truncation: each value is that of a
+    pass for it alone."""
     terms = [_series_terms(k, s, eps, m).terms for m, eps in orders]
-    powers = _part_powers(k, max(terms))
+    powers = _part_powers(k, max(terms, default=0))
     zp = powers * -s
     em1 = np.expm1(zp)
     u = np.exp(zp) / -em1

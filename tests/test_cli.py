@@ -459,6 +459,19 @@ class TestProperties:
             assert len({len(r) for r in rows}) == 1
             assert all(math.isfinite(float(cell)) for r in rows[1:] for cell in r)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind=_kinds, log_s=st.floats(-300.0, 0.0))
+    @example(kind="unrestricted", log_s=-103.0)
+    def test_k1_family_is_finite_or_refused(self, kind, log_s):
+        """k = 1 on the real axis: exit 1, or CSV whose every number is finite."""
+        code, out, err = _cli_text(["family", "--kind", kind, "--k", "1",
+                                    "--s", repr(10.0**log_s)])
+        if code != 0:
+            assert code == 1 and out == "" and "computation failed" in err
+            return
+        rows = [line.split(",") for line in out.rstrip("\n").split("\n")[1:]]
+        assert rows and all(math.isfinite(float(cell)) for r in rows for cell in r)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(parts=st.lists(st.one_of(
         st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -517,8 +530,23 @@ class TestTopLevel:
         assert [code for code, _, _ in fresh] == [2, 2, 2, 2, 0, 0, 0, 0, 0, 0]
         assert shared == fresh + fresh[::-1]
 
+    @pytest.mark.parametrize("argv", [
+        ["family", "--k", "1", "--s", "1e-103"],
+        # a variance of 1.7976931348623155e308 prints as 1.79769313486232e+308,
+        # which reads back as inf
+        ["family", "--k", "1", "--s", "2.635244872113586e-103"],
+        ["diagnose", "--kind", "unrestricted", "--k", "1", "--suite", "gauss",
+         "--s-grid", "geometric:1e-60:1e-40:3"]])
+    def test_overflow_exit_one(self, capsys, argv):
+        # a closed-form value past float64 is refused, never printed as inf
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "computation failed" in err and "float64" in err
+
     def test_computation_error_exit_one(self, capsys):
-        # series cap unreachable at this s: truncation failure -> exit 1
-        code, _, err = run_cli(capsys, "family", "--k", "1", "--s", "1e-9")
+        # series cap unreachable at this s off the real axis (theta = 1):
+        # truncation failure -> exit 1
+        code, _, err = run_cli(capsys, "family", "--k", "1", "--s", "1e-9",
+                               "--theta-grid", "0:1:2")
         assert code == 1
         assert "computation failed" in err

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from powerparts.bigcount import PartitionKind, count_partitions
 from powerparts.family import (SAMPLE_TAIL_EPS, SERIES_CAP, FamilyPoint,
-                               TruncationError, _axis, _derivatives,
+                               TruncationError, _axis, _axis_series,
+                               _derivatives, _eta_axis, _eta_log_bound,
                                _fulcrum_at, _h_deriv_poly, _series_terms,
                                char_fn_normalized, family_point, fulcrum,
                                pgf_modulus_ratio, pmf, sample)
@@ -45,7 +47,7 @@ class TestFulcrum:
 
     def test_truncation_failure_reports_bound(self):
         with pytest.raises(TruncationError) as exc:
-            fulcrum(U, 1, complex(-1e-9), eps=1e-12)
+            fulcrum(U, 1, complex(-1e-9, 1e-3), eps=1e-12)
         assert exc.value.achieved > exc.value.requested
         assert exc.value.terms >= 10**8
 
@@ -111,6 +113,13 @@ class TestRealAxisPass:
         assert min(_series_terms(1, s, eps, m).terms for m, eps in orders) > 4096
         assert _axis(1, s, orders) == [_axis(1, s, [o])[0] for o in orders]
 
+    def test_long_series_pass(self):
+        # the same at s = 1e-3 through the series, which k = 1 leaves to the
+        # closed form there
+        s, orders = 1e-3, [(m, 1e-12) for m in range(9)]
+        assert (_axis_series(1, s, orders)
+                == [_axis_series(1, s, [o])[0] for o in orders])
+
     @pytest.mark.parametrize("kind", [U, D])
     def test_family_point_is_one_pass(self, axis_passes, kind):
         family_point(kind, 2, 0.1)
@@ -125,6 +134,78 @@ class TestRealAxisPass:
         for n in range(50):
             pmf(pt, n, tables_2000[(U, 1)])
         assert axis_passes == []
+
+
+def _eta_edge(m: int, eps: float) -> tuple:
+    """(lo, hi) about the largest s whose order-m eta bound is within eps:
+    lo takes the closed form, hi the series."""
+    lo, hi = 1e-3, 2.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if _eta_log_bound(mid, m) <= math.log(eps):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestEtaRegime:
+    """At k = 1 the real axis takes each order from the eta transformation
+    whenever the Cauchy bound on the dropped F(-4 pi^2/s) is within eps."""
+
+    def test_regime_edges(self):
+        # eps = 1e-12: orders 0..2 up to s ~ 0.88, all of 0..8 up to 0.54
+        edges = [_eta_edge(m, 1e-12)[0] for m in range(9)]
+        assert edges == sorted(edges, reverse=True)
+        assert 0.87 < edges[2] < 0.89 and 0.5 < edges[8] < 0.55
+
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_closed_form_matches_series(self, kind):
+        # the series' certified tail is at most eps; past that the two
+        # agree to a few ulps of the largest term
+        eps = 1e-12
+        for m in range(9):
+            # the distinct kind's F(-2s) takes eps/2^(m+1) and so sets its edge
+            edge = (_eta_edge(m, eps)[0] if kind is U
+                    else _eta_edge(m, eps / 2**(m + 1))[0] / 2.0)
+            for s in np.geomspace(1e-4, edge, 5).tolist():
+                closed = _derivatives(kind, 1, s, (m,), eps)[0]
+                if kind is U:
+                    series, scale = _axis_series(1, s, [(m, eps)])[0], 0.0
+                else:
+                    a = _axis_series(1, s, [(m, eps / 2)])[0]
+                    b = 2**m * _axis_series(1, 2.0 * s, [(m, eps / 2**(m + 1))])[0]
+                    series, scale = a - b, a
+                ulp = math.ulp(max(abs(series), abs(scale)))
+                assert abs(closed - series) <= eps + 4.0 * ulp, (m, s)
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_hands_over_to_the_series_at_the_edge(self, m):
+        lo, hi = _eta_edge(m, 1e-12)
+        assert _axis(1, lo, [(m, 1e-12)]) == [_eta_axis(lo, m)]
+        assert _axis(1, hi, [(m, 1e-12)]) == _axis_series(1, hi, [(m, 1e-12)])
+
+    @pytest.mark.parametrize("s", [0.01, 0.3, 0.7])
+    def test_qp_40_digits(self, s):
+        # -log (q; q)_inf with q = e^(-s) is F(-s); mpmath's q-Pochhammer
+        # symbol is a reference independent of both regimes
+        with mpmath.workdps(40):
+            def phi(x):
+                q = mpmath.exp(-x)
+                return -mpmath.log(mpmath.qp(q, q))
+            x = mpmath.mpf(s)
+            refs = [phi(x), -mpmath.diff(phi, x, 1), mpmath.diff(phi, x, 2)]
+            for m, ref in enumerate(refs):
+                got = fulcrum(U, 1, -s, m=m).real
+                assert abs((got - ref) / ref) <= 1e-15, m
+
+    def test_not_finite_raises(self):
+        # the variance, 2 (pi^2/6) s^-3, is past float64 at s = 1e-103
+        with pytest.raises(OverflowError):
+            family_point(U, 1, 1e-103)
+        with pytest.raises(OverflowError):
+            _eta_axis(1e-300, 8)
+        assert math.isfinite(family_point(U, 1, 3e-103).variance)
 
 
 class TestMpmathAudit:

@@ -78,10 +78,21 @@ class TestExactSaddle:
             exact_saddle(U, 1, n, rtol=1e-16)
         passes = len(axis_passes)
         lo, hi = info.value.bracket
-        assert 0.0 < lo < hi <= lo * (1.0 + 1e-13)
-        assert lo <= info.value.best <= hi
+        best = info.value.best
+        assert 0.0 < lo <= best <= hi
+        # the stall is at the root: the mean misses n by at most its change
+        # over one ulp of s
+        pt = family_point(U, 1, best)
+        assert abs(pt.mean - n) <= pt.variance * math.ulp(best)
         assert family_point(U, 1, lo).mean > n > family_point(U, 1, hi).mean
         assert passes <= 9
+
+    def test_k1_deep_saddle(self, axis_passes):
+        # the real-axis series would need about 2e7 parts per pass here
+        n = 10**12
+        r = exact_saddle(U, 1, n)
+        assert abs(r.residual) <= 1e-10 * n
+        assert r.evaluations <= 5 and len(axis_passes) == r.evaluations
 
     @pytest.mark.parametrize("kind", [U, D])
     def test_evaluations_counted(self, kind, axis_passes):
