@@ -294,14 +294,18 @@ def _monotone_verdict(criterion: str, seq: tuple, b: int, **extra) -> dict:
 def _slope_verdict(criterion: str, grid: tuple, seq: tuple, b: int, expected: float,
                    judge_decreasing: bool = False) -> dict:
     """Pass when the log-log slope after burn-in ``b`` is within 0.1 of
-    ``expected`` (and, if judged, the sequence decreases after burn-in)."""
+    ``expected`` (and, if judged, the sequence decreases after burn-in).
+    With fewer than two points after burn-in there is no slope: pass is
+    None, with a note, since the grid holds no evidence either way."""
     fitted = _fit_loglog_slope(grid[b:], seq[b:])
     verdict = {"criterion": criterion, "burn_in": b, "slope_expected": expected,
                "slope_fitted": fitted,
-               "pass": fitted is not None and abs(fitted - expected) < 0.1}
+               "pass": None if fitted is None else abs(fitted - expected) < 0.1}
     if judge_decreasing:
         verdict["decreasing"] = _decreasing(seq, burn_in=b)
-        verdict["pass"] = verdict["decreasing"] and verdict["pass"]
+        verdict["pass"] = verdict["pass"] and verdict["decreasing"]
+    if fitted is None:
+        verdict["note"] = f"fewer than two grid points after burn-in {b}: no slope to fit"
     return verdict
 
 

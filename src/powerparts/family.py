@@ -11,15 +11,27 @@ Series are truncated with a certified tail bound (recorded in
 SeriesTruncation) and accumulated with math.fsum over numpy-generated
 terms, so accumulation error is a single rounding.
 
-At k = 1 the real axis has a closed form: the eta transformation gives
-F(-s) = pi^2/(6s) + (log s - log 2pi)/2 - s/24 + F(-4pi^2/s), and each
-derivative order in O(1).  An order takes it, dropping F(-4pi^2/s), when a
-Cauchy bound on that term's derivative is at most the order's eps; at
-eps = 1e-12 that holds for orders 0..2 up to s ~ 0.88 and for every order
-up to s ~ 0.54, and past its edge an order's series needs at most about
-150 terms (30 for the value).  So SERIES_CAP no longer limits the k = 1
-real axis; a closed-form value past float64 raises OverflowError.  Points
-off the axis, k >= 2 and sample keep the series.
+At k = 1 the eta transformation F(-tau) = pi^2/(6 tau) + (Log tau -
+log 2pi)/2 - tau/24 + F(w), w = -4pi^2/tau, Re tau > 0, gives the two rows
+of one regime table (_ETA_ROWS).  Each row maps a point and an order to a
+closed part and the point w where the rest is summed; a point no row takes
+keeps the direct series, bit for bit.
+
+- The real axis, tau = s: each derivative order in O(1), dropping F(w)
+  when a Cauchy bound on its derivative is at most the order's eps.  At
+  eps = 1e-12 that holds for orders 0..2 up to s ~ 0.88 and for every order
+  up to s ~ 0.54, and past its edge an order's series needs at most about
+  150 terms (30 for the value).  So SERIES_CAP no longer limits the k = 1
+  real axis; a closed-form value past float64 raises OverflowError.
+- Off the axis, tau = s - i phi with phi first reduced into [-pi, pi]: the
+  value (m = 0) is the closed part plus F(w) summed at Re w = -4pi^2 s/|tau|^2,
+  when (a) that series is shorter than the direct one and (b) the rounding
+  of w, amplified by |F'(w)| <= F'(Re w), costs at most eps/2.  Near the
+  cusps phi = 2pi/n, w lies near a multiple of 2pi i and (b) fails at small
+  s.  At eps = 1e-12 the row takes every phi for 0.02 <= s <= 3.3, and
+  |phi| up to 0.43 at s = 1e-3 (0.1 at s = 1e-4).
+
+Derivative orders m >= 1 off the axis, k >= 2 and sample keep the series.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ _FSUM_CHUNK = 4096  # floats converted at a time for math.fsum
 _LN2 = math.log(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
 _PI2_6 = math.pi**2 / 6.0
+_2PI = 2.0 * math.pi
+_2PI_LO = 2.4492935982947064e-16  # 2 pi - _2PI, so that _2PI + _2PI_LO is 2 pi to 106 bits
 
 
 class TruncationError(RuntimeError):
@@ -201,12 +215,12 @@ def _eta_axis(s: float, m: int) -> float:
 
 def _axis(k: int, s: float, orders: list) -> list:
     """F^(m)(-s) (m = 0: the value F(-s)) of the unrestricted fulcrum for
-    each (m, eps) of orders, from one pass.  At k = 1 an order whose dropped
-    eta term is certified at most eps comes from the closed form of
-    _eta_axis; the other orders come from one _axis_series pass."""
-    closed = [k == 1 and _eta_log_bound(s, m) <= math.log(eps) for m, eps in orders]
-    summed = iter(_axis_series(k, s, [o for o, c in zip(orders, closed) if not c]))
-    return [_eta_axis(s, m) if c else next(summed) for (m, _), c in zip(orders, closed)]
+    each (m, eps) of orders, from one pass.  An order the regime table takes
+    at -s comes from its closed form; the other orders come from one
+    _axis_series pass."""
+    closed = [_regime(k, m, eps, complex(-s), 0)[0] for m, eps in orders]
+    summed = iter(_axis_series(k, s, [o for o, c in zip(orders, closed) if c is None]))
+    return [next(summed) if c is None else c for c in closed]
 
 
 def _axis_series(k: int, s: float, orders: list) -> list:
@@ -225,6 +239,57 @@ def _axis_series(k: int, s: float, orders: list) -> list:
             for (m, _), j in zip(orders, terms)]
 
 
+def _eta_axis_row(m: int, eps: float, p: complex, terms: int):
+    """The real-axis row of the regime table, p = -s: F^(m)(-s) is
+    _eta_axis(s, m), with nothing summed, when the dropped F(-4pi^2/s) is
+    certified at most eps."""
+    s = -p.real
+    if _eta_log_bound(s, m) <= math.log(eps):
+        return _eta_axis(s, m), p, 0
+    return None
+
+
+def _mean_bound(x: float) -> float:
+    """An upper bound on F'(-x), x > 0, the k = 1 mean, which bounds |F'(w)|
+    on the line Re w = -x: the smaller of the eta form of order 1 plus its
+    dropped term's bound and q/(1 - q)^3 = sum_j j q^j/(1 - q), q = e^(-x)."""
+    eta = _eta_axis(x, 1) + math.exp(_eta_log_bound(x, 1))
+    return min(eta, math.exp(-x) / (-math.expm1(-x)) ** 3)
+
+
+def _eta_line_row(m: int, eps: float, p: complex, terms: int):
+    """The off-axis row of the regime table: the value (m = 0) at p = -tau,
+    Im tau reduced into [-pi, pi], as the eta closed part plus F(w),
+    w = -4pi^2/tau, summed over its own J at Re w = -x, when (a) J is below
+    terms, the direct series' J, and (b) ulp(|w|) F'(-x) <= eps/2, F'(-x)
+    bounding |F'(w)|, which amplifies the rounding of w."""
+    if m:
+        return None
+    r = math.remainder(p.imag, _2PI)  # exactly Im p - n _2PI
+    tau = complex(-p.real, round((p.imag - r) / _2PI) * _2PI_LO - r)  # Im p - 2 pi n, negated
+    w = -4.0 * math.pi**2 / tau
+    x = -w.real
+    if not x > -p.real:  # J at x is not below J at s (J does not increase with s)
+        return None
+    j = _series_terms(1, x, eps).terms
+    if j >= terms or math.ulp(abs(w)) * _mean_bound(x) > 0.5 * eps:
+        return None
+    return _PI2_6 / tau + 0.5 * (cmath.log(tau) - _LOG_2PI) - tau / 24.0, w, j
+
+
+# The regime table at k = 1, keyed by whether a point lies on the real axis.
+_ETA_ROWS = {True: _eta_axis_row, False: _eta_line_row}
+
+
+def _regime(k: int, m: int, eps: float, p: complex, terms: int) -> tuple:
+    """(c, w, J) for the point p and the order (m, eps): F^(m)(p) is the
+    closed part c plus the first J summands of the series at w.  The eta
+    row's when k = 1 and it takes p; else the direct series, (None, p,
+    terms), terms being its J at Re p."""
+    row = _ETA_ROWS[p.imag == 0.0](m, eps, p, terms) if k == 1 else None
+    return row or (None, p, terms)
+
+
 def _summands(m: int, zp: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """Per-part terms at the complex exponents zp = j^k z: their sum is the
     m-th derivative for m >= 1 and minus the value, Log(1 - e^zp), for m = 0.
@@ -235,27 +300,44 @@ def _summands(m: int, zp: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return _terms(m, np.exp(zp) / -np.expm1(zp), powers)
 
 
+def _row_sums(k: int, m: int, points: list, terms: list) -> list:
+    """For each point w of points and J of terms, the m-th derivative's
+    series at w summed over its first J parts.  Rows are taken largest J
+    first in blocks of the points-by-parts outer product, each as wide as
+    its first row's J and at most _BLOCK elements, and each row is summed
+    over its own J: a value depends on its point and J alone."""
+    order = sorted(range(len(points)), key=lambda i: -terms[i])
+    powers = _part_powers(k, terms[order[0]])
+    sign = -1.0 if m == 0 else 1.0
+    out = [0j] * len(points)
+    lo = 0
+    while lo < len(order):
+        width = terms[order[lo]]
+        rows = order[lo:lo + max(1, _BLOCK // max(width, 1))]
+        block = _summands(m, np.array([powers[:width] * points[i] for i in rows]),
+                          powers[:width])
+        for i, re, im in zip(rows, block.real, block.imag):
+            out[i] = complex(sign * _fsum(re[:terms[i]]), sign * _fsum(im[:terms[i]]))
+        lo += len(rows)
+    return out
+
+
 def _series(k: int, orders: list, z: list) -> list:
     """For each (m, eps) of orders, the m-th derivative (m = 0: the value)
     of the unrestricted fulcrum at each point of z, a list of complex points
-    that share one real part -s < 0 and so one truncation per order.  Points
-    all on the real axis are all -s and share one real-axis pass for all the
-    orders; otherwise every point is summed, order by order, in blocks of the
-    points-by-parts outer product."""
+    that share one real part -s < 0 and so one direct truncation per order.
+    Points all on the real axis are all -s and share one real-axis pass for
+    all the orders; otherwise each point takes its row of the regime table,
+    and one _row_sums run, order by order, sums the series of every point."""
     s = -z[0].real
     if all(p.imag == 0.0 for p in z):
         return [[complex(value)] * len(z) for value in _axis(k, s, orders)]
     out = []
     for m, eps in orders:
-        powers = _part_powers(k, _series_terms(k, s, eps, m).terms)
-        sign = -1.0 if m == 0 else 1.0
-        rows = max(1, _BLOCK // powers.size)
-        vals = []
-        for lo in range(0, len(z), rows):
-            block = _summands(m, np.array([powers * p for p in z[lo:lo + rows]]), powers)
-            vals += [complex(sign * _fsum(re), sign * _fsum(im))
-                     for re, im in zip(block.real, block.imag)]
-        out.append(vals)
+        terms = _series_terms(k, s, eps, m).terms
+        plans = [_regime(k, m, eps, p, terms) for p in z]
+        sums = _row_sums(k, m, [w for _, w, _ in plans], [j for _, _, j in plans])
+        out.append([v if c is None else c + v for (c, _, _), v in zip(plans, sums)])
     return out
 
 

@@ -112,6 +112,24 @@ def mp_fulcrum(kind: PartitionKind, k: int, s: float, m_max: int, dps: int = 40)
         return [+mpmath.fsum(t) for t in terms]
 
 
+def mp_qp_fulcrum(z: complex, dps: int = 30):
+    """The k = 1 unrestricted fulcrum F(z), Re z < 0, as -log (q; q)_inf with
+    q = e^z (mpmath's q-Pochhammer symbol).  The principal log of the
+    product differs from the sum of the factors' logs by a multiple of
+    2 pi i, so compare modulo 2 pi i."""
+    with mpmath.workdps(dps):
+        q = mpmath.exp(mpmath.mpc(z.real, z.imag))
+        return -mpmath.log(mpmath.qp(q, q))
+
+
+def mp_err_mod_2pi_i(value: complex, ref, dps: int = 30) -> float:
+    """|value - ref| with the difference reduced modulo 2 pi i."""
+    with mpmath.workdps(dps):
+        d = mpmath.mpc(value.real, value.imag) - ref
+        d -= 2j * mpmath.pi * mpmath.nint(d.imag / (2 * mpmath.pi))
+        return float(abs(d))
+
+
 def mp_omega(k: int, m: int, dps: int = 40):
     """omega_{k,m} = zeta(1 + 1/k) Gamma(m + 1/k) / k as an mpmath number at
     ``dps`` digits, with 1/k exact."""

@@ -325,7 +325,8 @@ class TestDiagnose:
         payload = json.loads(out, parse_constant=reject)
         assert validate(payload, load_schema("diagnose.schema.json")) == []
         assert payload["verdicts"][verdict]["slope_fitted"] is None
-        assert payload["verdicts"][verdict]["pass"] is False
+        assert payload["verdicts"][verdict]["pass"] is None
+        assert "no slope" in payload["verdicts"][verdict]["note"]
 
     def test_burn_in_flag(self, capsys):
         code, out, _ = run_cli(capsys, "diagnose", "--k", "2", "--suite", "strong",

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powerparts import family
 from powerparts.bigcount import PartitionKind, count_partitions
 from powerparts.family import (SAMPLE_TAIL_EPS, SERIES_CAP, FamilyPoint,
                                TruncationError, _axis, _axis_series,
-                               _derivatives, _eta_axis, _eta_log_bound,
-                               _fulcrum_at, _h_deriv_poly, _series_terms,
+                               _derivatives, _eta_axis, _eta_line_row,
+                               _eta_log_bound, _fulcrum_at, _h_deriv_poly,
+                               _mean_bound, _row_sums, _series_terms,
                                char_fn_normalized, family_point, fulcrum,
                                pgf_modulus_ratio, pmf, sample)
 
-from _oracles import char_fn_from_table, mp_fulcrum, mp_rel_err
+from _oracles import (char_fn_from_table, mp_err_mod_2pi_i, mp_fulcrum,
+                      mp_qp_fulcrum, mp_rel_err)
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -60,10 +63,11 @@ class TestFulcrum:
         assert exc.value.terms == SERIES_CAP
 
     @pytest.mark.parametrize("kind", [U, D])
-    @pytest.mark.parametrize("m", [0, 3])
-    def test_batch_equals_single_points(self, kind, m):
-        # 60 points off the real axis at s = 0.02 span several blocks
-        s = 0.02
+    @pytest.mark.parametrize("s, m", [(0.02, 0), (0.02, 3), (0.002, 0)])
+    def test_batch_equals_single_points(self, kind, s, m):
+        # 60 points off the real axis span several blocks; at k = 1 and m = 0
+        # each point's series at s = 0.02 has its own length (the eta row),
+        # and at s = 0.002 the eta row's points mix with the direct series'
         zs = [complex(-s, t) for t in np.linspace(-3.0, 3.0, 60)]
         assert all(z.imag != 0.0 for z in zs)
         batch = _fulcrum_at(kind, 1, (m,), zs, 1e-12)[0]
@@ -206,6 +210,81 @@ class TestEtaRegime:
         with pytest.raises(OverflowError):
             _eta_axis(1e-300, 8)
         assert math.isfinite(family_point(U, 1, 3e-103).variance)
+
+
+class TestEtaLine:
+    """At k = 1 a point off the real axis takes its value from the eta
+    transformation at w = -4 pi^2/tau when (a) the series at w is shorter
+    and (b) the rounding of w costs at most eps/2; otherwise the direct
+    series."""
+
+    def test_qp_30_digits(self, monkeypatch):
+        # Worst error over the audit points of both kinds, against mpmath's
+        # q-Pochhammer symbol: 2.7e-12 for the direct series (F at s = 1e-3,
+        # phi = pi, where the row refuses the point) and no more with the
+        # row.  The row spends up to eps/2 on the rounding of w: at s = 0.02
+        # its points are off by up to 8.7e-13 where the direct series is off
+        # by 3.5e-14.  At s = 1e-3, phi = pi the distinct kind's two direct
+        # errors cancel to 4.7e-13; with F(2z) from the row, G is off by F's
+        # own 2.7e-12.
+        rng = np.random.default_rng(16)
+        phis = [math.pi, 2.0 * math.pi / 3.0, math.pi / 2.0,
+                *rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 3)]
+        zs = [complex(-s, phi) for s in (1e-3, 0.02, 0.3) for phi in phis]
+        f = [mp_qp_fulcrum(z) for z in zs]
+        refs = {U: f, D: [a - mp_qp_fulcrum(2 * z) for a, z in zip(f, zs)]}
+
+        def errors():
+            return {kind: [mp_err_mod_2pi_i(fulcrum(kind, 1, z), ref)
+                           for z, ref in zip(zs, refs[kind])] for kind in (U, D)}
+
+        errs = errors()
+        monkeypatch.setitem(family._ETA_ROWS, False, lambda *args: None)
+        direct = errors()
+        assert errs[U] != direct[U] and errs[D] != direct[D]  # the row takes some points
+        assert max(errs[U] + errs[D]) <= max(direct[U] + direct[D]) < 4e-12
+
+    @pytest.mark.parametrize("s, phi, refused_by", [
+        (1e-3, math.pi, "b"),     # the cusp: w = -4 pi i + 0.004
+        (0.005, 2.0, "b"),
+        (5.0, 1.0, "a"),          # both series take 8 terms
+        (6.0, 3.0, "a"),          # Re(-w) < s: the series at w is longer
+    ])
+    def test_refused_point_is_the_direct_series(self, s, phi, refused_by):
+        eps, z = 1e-12, complex(-s, phi)
+        terms = _series_terms(1, s, eps).terms
+        assert _eta_line_row(0, eps, z, terms) is None
+        w = -4.0 * math.pi**2 / complex(s, -phi)
+        x = -w.real
+        shorter = x > s and _series_terms(1, x, eps).terms < terms
+        conditioned = math.ulp(abs(w)) * _mean_bound(x) <= 0.5 * eps
+        assert (shorter, conditioned) == ((True, False) if refused_by == "b" else (False, True))
+        assert fulcrum(U, 1, z, eps) == _row_sums(1, 0, [z], [terms])[0]
+
+    def test_mean_bound(self):
+        for x in (1e-3, 0.1, 1.0, 5.0, 40.0):
+            mean = _axis_series(1, x, [(1, 1e-15)])[0]
+            assert mean <= _mean_bound(x) <= 1.01 * mean + 1e-300
+
+    def test_only_k1_off_axis_points_enter_the_row(self, monkeypatch):
+        seen = []
+        row = family._ETA_ROWS[False]
+
+        def spy(m, eps, p, terms):
+            seen.append(p)
+            return row(m, eps, p, terms)
+
+        monkeypatch.setitem(family._ETA_ROWS, False, spy)
+        off = [complex(-0.1, t) for t in (0.5, 1.0, 3.0)]
+        for kind in (U, D):
+            _fulcrum_at(kind, 2, (0, 1), off, 1e-12)
+            _fulcrum_at(kind, 3, (0,), off, 1e-12)
+            _fulcrum_at(kind, 1, (0, 1, 2), [complex(-0.1)] * 3, 1e-12)
+            family_point(kind, 1, 0.01)
+            pgf_modulus_ratio(family_point(kind, 2, 0.1), [0.0, 1.0])
+        assert seen == []
+        _fulcrum_at(D, 1, (0,), off, 1e-12)
+        assert seen == off + [2 * p for p in off]
 
 
 class TestMpmathAudit:
