@@ -328,14 +328,21 @@ def _series(k: int, orders: list, z: list) -> list:
     that share one real part -s < 0 and so one direct truncation per order.
     Points all on the real axis are all -s and share one real-axis pass for
     all the orders; otherwise each point takes its row of the regime table,
-    and one _row_sums run, order by order, sums the series of every point."""
+    and one _row_sums run, order by order, sums the series of every point.
+    A direct J past SERIES_CAP counts as longer than any row's; it raises
+    only when a point that no row takes needs the direct series."""
     s = -z[0].real
     if all(p.imag == 0.0 for p in z):
         return [[complex(value)] * len(z) for value in _axis(k, s, orders)]
     out = []
     for m, eps in orders:
-        terms = _series_terms(k, s, eps, m).terms
+        try:
+            terms = _series_terms(k, s, eps, m).terms
+        except TruncationError as err:
+            terms, uncertified = math.inf, err
         plans = [_regime(k, m, eps, p, terms) for p in z]
+        if any(j == math.inf for _, _, j in plans):
+            raise uncertified
         sums = _row_sums(k, m, [w for _, w, _ in plans], [j for _, _, j in plans])
         out.append([v if c is None else c + v for (c, _, _), v in zip(plans, sums)])
     return out
@@ -428,32 +435,31 @@ def pmf(point: FamilyPoint, n: int, table: CoeffTable) -> float:
 
 
 def sample(point: FamilyPoint, count: int, seed: int) -> np.ndarray:
-    """i.i.d. draws of X_t by the independent-components decomposition.
+    """i.i.d. draws of X_t by the independent-components decomposition, in
+    O(J + nonzero parts): only the nonzero parts are drawn.
 
     Unrestricted: X = sum_j j^k G_j with G_j geometric (failures before
-    success) of success probability 1 - t^(j^k).  Distinct: independent
-    Bernoulli with success t^(j^k)/(1 + t^(j^k)).  Parts beyond J are
+    success) of success probability 1 - u, u = t^(j^k), nonzero with chance
+    p = u.  Distinct: Bernoulli of success p = u/(1 + u).  Part j is nonzero
+    in Binomial(count, p) draws at distinct uniform positions; there a
+    geometric G_j is 1 plus a fresh copy (the law is memoryless), which is
+    numpy's geometric (trials to the first success).  Parts beyond J are
     dropped; J is certified so the probability any dropped part is nonzero
     is at most SAMPLE_TAIL_EPS.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     k, s = point.k, point.s
-    tr = _series_terms(k, s, SAMPLE_TAIL_EPS)
+    x = _part_powers(k, _series_terms(k, s, SAMPLE_TAIL_EPS).terms) * s  # j^k s
+    u = np.exp(-x)  # t^(j^k)
+    distinct = point.kind is PartitionKind.DISTINCT
     rng = np.random.default_rng(seed)
+    nonzero = rng.binomial(count, u / (1.0 + u) if distinct else u)
     out = np.zeros(count, dtype=np.int64)
-    for j in range(1, tr.terms + 1):
-        w = j**k
-        x = w * s
-        u = math.exp(-x)  # t^(j^k)
-        if u == 0.0:
-            break
-        if point.kind is PartitionKind.UNRESTRICTED:
-            p_success = -math.expm1(-x)
-            out += w * (rng.geometric(p_success, count) - 1)
-        else:
-            p_take = u / (1.0 + u)
-            out += w * (rng.random(count) < p_take)
+    for i in np.flatnonzero(nonzero).tolist():
+        w = (i + 1) ** k  # a Python int: one past int64 raises, never wraps
+        at = rng.choice(count, nonzero[i], replace=False, shuffle=False)
+        out[at] += w if distinct else w * rng.geometric(-math.expm1(-x[i]), at.size)
     return out
 
 

@@ -59,6 +59,26 @@ def table_pmf(table: CoeffTable, s: float) -> np.ndarray:
     return w / w.sum()
 
 
+def dense_sample(kind: PartitionKind, k: int, s: float, terms: int, count: int,
+                 seed: int) -> np.ndarray:
+    """count draws of X_t at t = e^-s over its first ``terms`` parts, every
+    part drawn for every draw: j^k times a geometric (failures before
+    success) of success probability 1 - t^(j^k) for the unrestricted kind,
+    j^k times a Bernoulli of success t^(j^k)/(1 + t^(j^k)) for the distinct
+    kind.  O(terms * count) variates."""
+    rng = np.random.default_rng(seed)
+    out = np.zeros(count, dtype=np.int64)
+    for j in range(1, terms + 1):
+        w = j**k
+        x = w * s
+        u = math.exp(-x)
+        if kind is PartitionKind.UNRESTRICTED:
+            out += w * (rng.geometric(-math.expm1(-x), count) - 1)
+        else:
+            out += w * (rng.random(count) < u / (1.0 + u))
+    return out
+
+
 def char_fn_from_table(table: CoeffTable, s: float, theta: float) -> complex:
     """Normalized characteristic function by direct pmf summation."""
     p = table_pmf(table, s)
@@ -120,6 +140,18 @@ def mp_qp_fulcrum(z: complex, dps: int = 30):
     with mpmath.workdps(dps):
         q = mpmath.exp(mpmath.mpc(z.real, z.imag))
         return -mpmath.log(mpmath.qp(q, q))
+
+
+def mp_eta_fulcrum(z: complex, dps: int = 30):
+    """The k = 1 unrestricted fulcrum F(z), Re z < 0, from the Dedekind eta
+    transformation at tau = -z: F(-tau) = pi^2/(6 tau) + (Log tau -
+    log 2pi)/2 - tau/24 + F(-4pi^2/tau), the last term by mp_qp_fulcrum.
+    Near z = 0 the q-Pochhammer product at z itself needs about 1/Re(-z)
+    factors; at -4pi^2/tau it needs few.  Compare modulo 2 pi i."""
+    with mpmath.workdps(dps):
+        tau = -mpmath.mpc(z.real, z.imag)
+        return (mpmath.pi**2 / (6 * tau) + (mpmath.log(tau) - mpmath.log(2 * mpmath.pi)) / 2
+                - tau / 24 + mp_qp_fulcrum(-4 * mpmath.pi**2 / tau, dps))
 
 
 def mp_err_mod_2pi_i(value: complex, ref, dps: int = 30) -> float:

@@ -545,9 +545,18 @@ class TestTopLevel:
         assert "computation failed" in err and "float64" in err
 
     def test_computation_error_exit_one(self, capsys):
-        # series cap unreachable at this s off the real axis (theta = 1):
+        # series cap unreachable at this s off the real axis, at theta =
+        # 1.8e14 (phi = 3.14, by the cusp pi, which no eta row takes):
         # truncation failure -> exit 1
         code, _, err = run_cli(capsys, "family", "--k", "1", "--s", "1e-9",
-                               "--theta-grid", "0:1:2")
+                               "--theta-grid", "0:1.8e14:2")
         assert code == 1
         assert "computation failed" in err
+
+    def test_eta_row_past_the_series_cap(self, capsys):
+        # theta = 1 is phi = 1.7e-14, which the eta row takes in 8 terms
+        code, out, _ = run_cli(capsys, "family", "--k", "1", "--s", "1e-9",
+                               "--theta-grid", "0:1:2")
+        assert code == 0
+        cf_real = float(out.splitlines()[-1].split(",")[4])
+        assert abs(cf_real - math.exp(-0.5)) < 1e-4

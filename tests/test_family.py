@@ -16,8 +16,8 @@ from powerparts.family import (SAMPLE_TAIL_EPS, SERIES_CAP, FamilyPoint,
                                char_fn_normalized, family_point, fulcrum,
                                pgf_modulus_ratio, pmf, sample)
 
-from _oracles import (char_fn_from_table, mp_err_mod_2pi_i, mp_fulcrum,
-                      mp_qp_fulcrum, mp_rel_err)
+from _oracles import (char_fn_from_table, dense_sample, mp_err_mod_2pi_i,
+                      mp_eta_fulcrum, mp_fulcrum, mp_qp_fulcrum, mp_rel_err)
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -260,6 +260,31 @@ class TestEtaLine:
         conditioned = math.ulp(abs(w)) * _mean_bound(x) <= 0.5 * eps
         assert (shorter, conditioned) == ((True, False) if refused_by == "b" else (False, True))
         assert fulcrum(U, 1, z, eps) == _row_sums(1, 0, [z], [terms])[0]
+
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_row_point_past_the_direct_cap(self, kind):
+        # at s = 1e-9 the direct series is not certified within SERIES_CAP
+        # terms, but the row sums 8 terms at Re w = -4 pi^2 s/|tau|^2 ~ -39478
+        z = complex(-1e-9, 1e-6)
+        with pytest.raises(TruncationError):
+            _series_terms(1, -z.real, 1e-12)
+        ref = mp_eta_fulcrum(z) - (mp_eta_fulcrum(2 * z) if kind is D else 0)
+        got = fulcrum(kind, 1, z)
+        assert mp_err_mod_2pi_i(got, ref) <= math.ulp(abs(got))
+
+    def test_uncertified_direct_point_raises(self):
+        # phi = pi at the same s is a cusp that no row takes, alone or in a
+        # batch with a point the row takes; k = 2 has no row
+        row, cusp = complex(-1e-9, 1e-6), complex(-1e-9, math.pi)
+        for kind in (U, D):
+            with pytest.raises(TruncationError):
+                fulcrum(kind, 1, cusp)
+            with pytest.raises(TruncationError):
+                _fulcrum_at(kind, 1, (0,), [row, cusp], 1e-12)
+            with pytest.raises(TruncationError):
+                fulcrum(kind, 1, row, m=1)  # no row for the derivative orders
+            with pytest.raises(TruncationError):
+                fulcrum(kind, 2, complex(-1e-15, 1e-6))
 
     def test_mean_bound(self):
         for x in (1e-3, 0.1, 1.0, 5.0, 40.0):
@@ -527,6 +552,31 @@ class TestSample:
 
     def test_tail_eps_constant(self):
         assert SAMPLE_TAIL_EPS == 1e-9
+
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("k,s", [(1, 0.2), (1, 0.018), (2, 0.2), (2, 0.018)])
+    def test_two_sample_ks_against_dense_draws(self, kind, k, s):
+        # Both samplers draw the same truncated law.  By Massart's DKW
+        # inequality each empirical CDF is farther than r from that law with
+        # probability at most 2 exp(-2 n r^2) = 5e-10, so the two are
+        # farther than 2r apart with probability at most 1e-9.
+        n = 100_000
+        terms = _series_terms(k, s, SAMPLE_TAIL_EPS).terms
+        a = np.sort(sample(family_point(kind, k, s), n, seed=17))
+        b = np.sort(dense_sample(kind, k, s, terms, n, seed=18))
+        grid = np.union1d(a, b)
+        gap = np.abs(np.searchsorted(a, grid, side="right") - np.searchsorted(b, grid, side="right"))
+        assert gap.max() / n <= 2.0 * math.sqrt(math.log(2.0 / 5e-10) / (2.0 * n))
+
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empirical_pmf_at_small_n(self, tables_2000, kind, k):
+        pt = family_point(kind, k, 0.5)
+        draws = sample(pt, 100_000, seed=5)
+        for n in range(11):
+            p = pmf(pt, n, tables_2000[(kind, k)])
+            emp = float(np.mean(draws == n))
+            assert abs(emp - p) <= 5.0 * math.sqrt(p * (1.0 - p) / draws.size), (n, emp, p)
 
 
 class TestFamilyPoint:
