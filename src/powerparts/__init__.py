@@ -3,8 +3,8 @@ numerical diagnostics for partitions into k-th powers (unrestricted and
 distinct parts)."""
 
 from .bigcount import (CoeffTable, PartitionKind, count_partitions,
-                       count_via_log_recurrence, delta_k, epsilon_k,
-                       log_integer, verify_product_identity)
+                       count_via_log_recurrence, log_integer,
+                       verify_product_identity)
 from .diagnostics import (DiagnosticsReport, QuadratureError,
                           bd_condition_check, clt_empirical_check,
                           euler_maclaurin_identity_check,
@@ -25,8 +25,7 @@ __all__ = [
     "__version__",
     # bigcount
     "CoeffTable", "PartitionKind", "count_partitions",
-    "count_via_log_recurrence", "delta_k", "epsilon_k", "log_integer",
-    "verify_product_identity",
+    "count_via_log_recurrence", "log_integer", "verify_product_identity",
     # special
     "ConstantSet", "constants", "riemann_zeta",
     # family

@@ -1,11 +1,13 @@
 """Exact coefficient tables for power-partition generating functions.
 
 Two independent exact algorithms are provided.  ``count_partitions`` runs
-Euler's pentagonal number recurrence for k = 1 (O(n^{3/2}) additions) and a
-dense knapsack DP over the parts j^k for k >= 2 (O(n^{1+1/k}) additions).
-``count_via_log_recurrence`` is a divisor-sum recurrence driven by the
-logarithmic derivative of the product form.  All coefficients are Python big
-integers; tables are immutable once built.
+Euler's pentagonal number recurrence for k = 1 (O(n^{3/2}) additions) and,
+for k >= 2, a knapsack over the parts j^k on the whole table packed into
+one big integer: one shift-add per part for the distinct kind, the
+unrestricted kind from q_k(x) p_k(x^2) at n_max >> L, ..., n_max >> 1,
+n_max.  ``count_via_log_recurrence`` is a divisor-sum recurrence driven by
+the logarithmic derivative of the product form.  All coefficients are
+Python big integers; tables are immutable once built.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from itertools import cycle
 from operator import add, sub
 from typing import Iterator, Optional
+
+from .special import constants
 
 
 class PartitionKind(enum.Enum):
@@ -42,10 +46,9 @@ class CoeffTable:
         return self.coeffs[n]
 
 
-def _validate_args(k: int, n: int, name: str = "n_max", least: int = 0) -> None:
-    """Raise ValueError unless k >= 1 and the argument ``name`` is >= ``least``
-    (0 or 1), both ints."""
-    for label, v, lo in (("k", k, 1), (name, n, least)):
+def _validate_args(k: int, n_max: int) -> None:
+    """Raise ValueError unless k >= 1 and n_max >= 0, both ints."""
+    for label, v, lo in (("k", k, 1), ("n_max", n_max, 0)):
         if not isinstance(v, int) or v < lo:
             sign = "positive" if lo else "nonnegative"
             raise ValueError(f"{label} must be a {sign} integer, got {v!r}")
@@ -58,21 +61,54 @@ def _parts(k: int, n_max: int) -> Iterator[int]:
         j += 1
 
 
+def _slot_bits(kind: PartitionKind, k: int, n_max: int) -> int:
+    """A bound on the bit length of every a_n, n <= n_max.
+
+    For any 0 < t < 1, a_n t^n is at most the value at t of the product
+    prod_{p <= n_max} (1 -/+ t^p)^(-/+1) over the parts p = j^k, whose
+    coefficients up to n_max are the a_n and are all nonnegative beyond;
+    and t^-n <= t^-n_max.  t = e^-s at the saddle s = (c/n_max)^(k/(k+1))
+    of that bound, c = Omega_k (unrestricted) or Phi_k (distinct), and two
+    guard bits absorb the float rounding of the logarithm.
+    """
+    cs = constants(k)
+    c = cs.Phi if kind is PartitionKind.DISTINCT else cs.Omega
+    s = (c / max(n_max, 1)) ** (k / (k + 1))
+    sign = 1.0 if kind is PartitionKind.DISTINCT else -1.0
+    log_bound = n_max * s + math.fsum(sign * math.log1p(sign * math.exp(-s * p))
+                                      for p in _parts(k, n_max))
+    return math.ceil(log_bound / math.log(2.0)) + 2
+
+
 def _knapsack(kind: PartitionKind, k: int, n_max: int) -> list:
-    """Dense knapsack DP over parts j^k <= n_max: c_n += c_{n-p} for each part
-    p, in ascending n for unbounded multiplicity (Unrestricted), from the old
-    table for 0/1 multiplicity (Distinct).  Each update is one slice
-    operation per part or per stride-p block, so the additions run in C."""
-    c = [0] * (n_max + 1)
-    c[0] = 1
-    for p in _parts(k, n_max):
-        if kind is PartitionKind.UNRESTRICTED:
-            for start in range(p, n_max + 1, p):
-                c[start:start + p] = map(add, c[start:start + p], c[start - p:start])
-        else:
-            # both right-hand slices are copies taken before the assignment
-            c[p:] = map(add, c[p:], c[:-p])
-    return c
+    """The table packed into one integer (Kronecker substitution), a_n in
+    slot n_max - n of B bits, C = sum_n a_n 2^(B (n_max - n)), with B whole
+    bytes of at least ``_slot_bits``.
+
+    Multiplying by (1 + x^p), a_n += a_{n-p}, is then C += C >> Bp: the
+    shift drops the slots that would pass n_max.  That over every part gives
+    the distinct kind.  The unrestricted kind uses p_k(x) = q_k(x) p_k(x^2):
+    the table to n >> 1, spread to the even degrees, times the distinct
+    kind's factors over the parts <= n, is the table to n, for n = 0, ...,
+    n_max >> 1, n_max.  Every partial product has nonnegative coefficients
+    no larger than the final ones, so no slot carries into the next.  The
+    big-endian bytes of C list a_0, a_1, ... in order.
+    """
+    width = -(-_slot_bits(kind, k, n_max) // 8)
+    bits = 8 * width
+    halvings = n_max.bit_length() if kind is PartitionKind.UNRESTRICTED else 0
+    c, prev = 1, 0
+    for n in (n_max >> i for i in range(halvings, -1, -1)):
+        old = c.to_bytes(width * (prev + 1), "big")
+        spread = bytearray(width * (n + 1))
+        for b in range(width):
+            spread[b:2 * width * (prev + 1):2 * width] = old[b::width]
+        c = int.from_bytes(spread, "big")
+        for p in _parts(k, n):
+            c += c >> bits * p
+        prev = n
+    data = memoryview(c.to_bytes(width * (n_max + 1), "big"))
+    return [int.from_bytes(data[i:i + width], "big") for i in range(0, len(data), width)]
 
 
 def _pentagonal(n_max: int, stride: int, sign: int) -> list:
@@ -115,44 +151,17 @@ def _euler(kind: PartitionKind, n_max: int) -> list:
 
 def count_partitions(kind: PartitionKind, k: int, n_max: int) -> CoeffTable:
     """Exact counts for n = 0..n_max: Euler's pentagonal recurrence for k = 1,
-    the knapsack DP over the parts j^k for k >= 2."""
+    the packed knapsack over the parts j^k for k >= 2."""
     _validate_args(k, n_max)
     coeffs = _euler(kind, n_max) if k == 1 else _knapsack(kind, k, n_max)
     return CoeffTable(kind=kind, k=k, n_max=n_max, coeffs=tuple(coeffs))
 
 
-def delta_k(k: int, n: int) -> int:
-    """Sum of the perfect k-th powers dividing n."""
-    _validate_args(k, n, "n", 1)
-    total = 0
-    j = 1
-    while j**k <= n:
-        if n % (j**k) == 0:
-            total += j**k
-        j += 1
-    return total
-
-
-def epsilon_k(k: int, n: int) -> int:
-    """Signed divisor sum -sum_{j^k | n} (-1)^(n/j^k) j^k.
-
-    For k = 1 this equals the sum of the odd divisors of n.
-    """
-    _validate_args(k, n, "n", 1)
-    total = 0
-    j = 1
-    while j**k <= n:
-        p = j**k
-        if n % p == 0:
-            total -= p if (n // p) % 2 == 0 else -p
-        j += 1
-    return total
-
-
 def _log_weights(kind: PartitionKind, k: int, n_max: int) -> list:
-    """delta_k(n) (Unrestricted) or epsilon_k(n) (Distinct) for n = 0..n_max,
-    index 0 unused and set to 0: each part p adds p to its multiples q*p,
-    for the distinct kind with the sign alternating with the parity of q."""
+    """delta_k(n) = sum_{j^k | n} j^k (Unrestricted) or epsilon_k(n) =
+    -sum_{j^k | n} (-1)^(n/j^k) j^k (Distinct) for n = 0..n_max, index 0
+    unused and set to 0: each part p adds p to its multiples q*p, for the
+    distinct kind with the sign alternating with the parity of q."""
     arr = [0] * (n_max + 1)
     for p in _parts(k, n_max):
         signs = (p,) if kind is PartitionKind.UNRESTRICTED else (p, -p)
@@ -202,7 +211,10 @@ def verify_product_identity(k: int, n_max: int,
     """Check p_k(n) = sum_{2i <= n} q_k(n-2i) * p_k(i) for n = 0..n_max.
 
     ``tables`` may supply precomputed (unrestricted, distinct) tables of
-    length >= n_max.
+    length >= n_max.  For k >= 2, ``count_partitions`` builds the
+    unrestricted table from this very identity, so it checks the packing
+    there, not the counts; the log recurrence and the modular log-derivative
+    check of the tests are the independent algorithms.
     """
     _validate_args(k, n_max)
     if tables is None:
@@ -235,8 +247,6 @@ __all__ = [
     "ProductIdentityReport",
     "count_partitions",
     "count_via_log_recurrence",
-    "delta_k",
-    "epsilon_k",
     "verify_product_identity",
     "log_integer",
 ]

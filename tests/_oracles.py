@@ -52,6 +52,95 @@ def knapsack(kind: PartitionKind, k: int, n_max: int) -> list:
     return c
 
 
+def _check_n(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+
+
+def delta_k(k: int, n: int) -> int:
+    """Sum of the perfect k-th powers dividing n."""
+    _check_n(n)
+    return sum(j**k for j in range(1, n + 1) if j**k <= n and n % j**k == 0)
+
+
+def epsilon_k(k: int, n: int) -> int:
+    """Signed divisor sum -sum_{j^k | n} (-1)^(n/j^k) j^k; for k = 1 the sum
+    of the odd divisors of n."""
+    _check_n(n)
+    return -sum((-1) ** (n // j**k) * j**k
+                for j in range(1, n + 1) if j**k <= n and n % j**k == 0)
+
+
+def divisor_sieve(kind: PartitionKind, k: int, n_max: int) -> np.ndarray:
+    """delta_k(n) (unrestricted) or epsilon_k(n) (distinct) for n = 0..n_max
+    as int64, index 0 set to 0: each part p = j^k adds +p to the multiples
+    q p with q odd and -p (distinct) or +p (unrestricted) to those with q
+    even."""
+    c = np.zeros(n_max + 1, dtype=np.int64)
+    even_sign = -1 if kind is PartitionKind.DISTINCT else 1
+    j = 1
+    while j**k <= n_max:
+        p = j**k
+        c[p::2 * p] += p
+        c[2 * p::2 * p] += even_sign * p
+        j += 1
+    return c
+
+
+_LIMB_BITS = 11
+_PRIME = 2**31 - 1
+
+
+def _limbs(v: np.ndarray) -> list:
+    """Three 11-bit limbs of int64 values below 2^33, low limb first."""
+    mask = (1 << _LIMB_BITS) - 1
+    return [(v >> (_LIMB_BITS * i)) & mask for i in range(3)]
+
+
+def _convolve_mod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a * b)[n] mod _PRIME for n < len(a), a and b int64 in [0, _PRIME),
+    by float64 FFT on 11-bit limbs.
+
+    Every limb is below 2^11, so each limb-pair convolution is an integer
+    below 2^22 len(a) and each of the five sums over a limb-degree below
+    3 * 2^22 len(a) < 2^42 for len(a) <= 2^18; float64 FFT error at that
+    size is far under 1/2 (at most 4e-6 on the 2^17 tables), so rounding
+    is exact; a distance of 1/8 or more to the nearest integer raises
+    ArithmeticError."""
+    n = len(a)
+    if len(b) != n or n > 2**18:
+        raise ValueError("need equal lengths <= 2^18")
+    size = 1 << (2 * n - 1).bit_length()
+    fa = [np.fft.rfft(x.astype(float), size) for x in _limbs(a)]
+    fb = [np.fft.rfft(x.astype(float), size) for x in _limbs(b)]
+    out = np.zeros(n, dtype=np.int64)
+    for degree in range(5):
+        spec = sum(fa[i] * fb[degree - i] for i in range(3) if 0 <= degree - i < 3)
+        conv = np.fft.irfft(spec, size)[:n]
+        exact = np.rint(conv)
+        if float(np.max(np.abs(conv - exact), initial=0.0)) >= 0.125:
+            raise ArithmeticError("FFT convolution not within 1/8 of an integer")
+        scale = pow(2, _LIMB_BITS * degree, _PRIME)
+        out = (out + (exact.astype(np.int64) % _PRIME) * scale) % _PRIME
+    return out
+
+
+def log_derivative_mismatch(kind: PartitionKind, k: int, coeffs):
+    """First n at which n a_n = sum_{m=1}^{n} c(m) a_{n-m} (mod 2^31 - 1) fails
+    for the table ``coeffs``, c(m) = delta_k(m) or epsilon_k(m) from
+    divisor_sieve; None when it holds for every n (and a_0 = 1).  The
+    identity is the logarithmic derivative of the product form, so it
+    depends on neither the pentagonal nor the knapsack algorithm."""
+    n_max = len(coeffs) - 1
+    if coeffs[0] != 1:
+        return 0
+    a = np.array([v % _PRIME for v in coeffs], dtype=np.int64)
+    c = divisor_sieve(kind, k, n_max) % _PRIME
+    lhs = np.arange(n_max + 1, dtype=np.int64) * a % _PRIME
+    bad = np.flatnonzero(lhs != _convolve_mod(c, a))
+    return int(bad[0]) if bad.size else None
+
+
 def table_pmf(table: CoeffTable, s: float) -> np.ndarray:
     """Exact finite-support pmf of the family at t = e^-s from a table."""
     t = math.exp(-s)

@@ -26,7 +26,7 @@ from powerparts.saddle import (bd_saddle, exact_saddle, hayman_estimate,
                                hr_closed_form, second_order_logP)
 from powerparts.special import constants
 
-from _oracles import brute_force_count
+from _oracles import brute_force_count, log_derivative_mismatch
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -130,12 +130,14 @@ def test_criterion_06_euler_maclaurin_identity():
 
 def test_criterion_07_hardy_ramanujan_ratio(thresholds):
     with criterion(7, "closed-form estimate / exact count -> 1 along "
-                      "geometric n grids (k=1 to 2^15, k=2 to 2^16); < 60 s"):
+                      "geometric n grids (k=1 to 2^15, k=2 to 2^16), each "
+                      "table checked by the modular log derivative; < 60 s"):
         t0 = time.perf_counter()
         for k in ("1", "2"):
             fx = thresholds["hr_ratio"][k]
             grid = fx["n_grid"]
             table = count_partitions(U, int(k), grid[-1])
+            assert log_derivative_mismatch(U, int(k), table.coeffs) is None, k
             devs = []
             for n in grid:
                 est = hr_closed_form(int(k), n)

@@ -5,11 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerparts.bigcount import (CoeffTable, PartitionKind, _knapsack,
-                                 _log_weights, count_partitions,
-                                 count_via_log_recurrence, delta_k, epsilon_k,
-                                 log_integer, verify_product_identity)
+                                 _log_weights, _slot_bits, count_partitions,
+                                 count_via_log_recurrence, log_integer,
+                                 verify_product_identity)
 
-from _oracles import brute_force_count, knapsack
+from _oracles import (brute_force_count, delta_k, divisor_sieve, epsilon_k,
+                      knapsack, log_derivative_mismatch)
 
 U = PartitionKind.UNRESTRICTED
 D = PartitionKind.DISTINCT
@@ -51,6 +52,15 @@ class TestCountPartitions:
     @example(kind=D, k=3, n_max=7)  # n_max below the second part
     def test_knapsack_equals_scalar_oracle(self, kind, k, n_max):
         assert _knapsack(kind, k, n_max) == knapsack(kind, k, n_max)
+
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_slot_bits_bound_every_entry(self, kind, k):
+        # below, at and past part boundaries j^k, and two larger tables;
+        # k = 1 from the pentagonal recurrence, k >= 2 from the scalar knapsack
+        for n_max in sorted({0, 1, 2, 2**k - 1, 2**k, 3**k - 1, 3**k, 600, 4096}):
+            table = count_partitions(kind, 1, n_max).coeffs if k == 1 else knapsack(kind, k, n_max)
+            assert _slot_bits(kind, k, n_max) >= max(table).bit_length(), n_max
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -106,10 +116,11 @@ class TestDivisorSums:
         vals = [epsilon_k(2, n) for n in range(1, 500)]
         assert any(v > 0 for v in vals) and any(v < 0 for v in vals)
 
+    @pytest.mark.parametrize("sieve", [_log_weights, divisor_sieve])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_sieves_match_pointwise(self, k):
-        ds = _log_weights(U, k, 300)
-        es = _log_weights(D, k, 300)
+    def test_sieves_match_pointwise(self, sieve, k):
+        ds = sieve(U, k, 300)
+        es = sieve(D, k, 300)
         assert ds[0] == es[0] == 0
         for n in range(1, 301):
             assert ds[n] == delta_k(k, n)
@@ -149,6 +160,26 @@ class TestLogRecurrence:
             c.append(n * a[n] - sum(c[m] * a[n - m] for m in range(1, n)))
         for n in range(1, 61):
             assert c[n] == epsilon_k(2, n), n
+
+
+class TestLogDerivativeCheck:
+    @pytest.mark.parametrize("kind", [U, D])
+    def test_k3_at_the_budget(self, kind):
+        coeffs = count_partitions(kind, 3, 2**17).coeffs
+        assert log_derivative_mismatch(kind, 3, coeffs) is None
+        bad = list(coeffs)
+        bad[99_991] += 1
+        assert log_derivative_mismatch(kind, 3, bad) == 99_991
+
+    @pytest.mark.parametrize("kind", [U, D])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rejects_one_entry_plus_one(self, kind, k):
+        coeffs = count_partitions(kind, k, 400).coeffs
+        assert log_derivative_mismatch(kind, k, coeffs) is None
+        for n in (0, 1, 257, 400):
+            bad = list(coeffs)
+            bad[n] += 1
+            assert log_derivative_mismatch(kind, k, bad) == n, n
 
 
 class TestProductIdentity:

@@ -19,7 +19,7 @@ from powerparts.diagnostics import (CLT_S_GRID, DEFAULT_S_GRID,
                                     gaussianity_ratios, run_all, run_suite,
                                     strong_gauss_l1, twl_bound_scan)
 from powerparts.family import (char_fn_normalized, family_point, fulcrum,
-                               pgf_modulus_ratio)
+                               pgf_modulus_ratio, sample)
 
 from _oracles import QuadratureFailed, composite_simpson, depth_first_simpson
 
@@ -479,6 +479,16 @@ class TestCltEmpirical:
         ks = clt_empirical_check(D, 2, 0.02, 10**5, fx["seed"])
         assert 0.08 < ks < 0.13
         assert abs(ks - fx["distinct_k2_s0.02_measured"]) < 5e-3
+        # that KS is Phi(-mean/sigma), the normal's mass below X = 0, for any
+        # sampler of a law with an atom at 0; the first two moments see the
+        # sampler: each within 5 standard errors, with kappa_4 the fourth
+        # derivative of the fulcrum at -s
+        pt = family_point(D, 2, 0.02)
+        xs = sample(pt, 10**5, fx["seed"])
+        kappa4 = fulcrum(D, 2, -0.02, m=4).real
+        assert abs(xs.mean() - pt.mean) <= 5.0 * math.sqrt(pt.variance / xs.size)
+        assert (abs(xs.var(ddof=1) - pt.variance)
+                <= 5.0 * math.sqrt((kappa4 + 2.0 * pt.variance**2) / xs.size))
 
     def test_draw_floor(self):
         with pytest.raises(ValueError):
